@@ -26,6 +26,7 @@ from .automorphisms import (
     verify_automorphism,
 )
 from .census import (
+    Auto,
     BaseEdgeOnly,
     EgrCertificate,
     Exhaustive,

@@ -18,6 +18,7 @@ constructive form of edge-transitivity for this family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .adg import RelationSet, Side, Vertex, adjacent, edge_iter, neighbors, vertex_from_id
 from .census import Lcg
@@ -51,7 +52,9 @@ class VerifyResult:
         return self.ok
 
 
+@lru_cache(maxsize=8)
 def lwenger_relations(m: int, q: int) -> RelationSet:
+    """The L_m(q) relation set, built once per (m, q) and then shared."""
     return relations(FamilySpec(Family.LINEARIZED, q, m))
 
 

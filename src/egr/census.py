@@ -1,11 +1,26 @@
 """Exact girth measurement and girth-cycle census.
 
-A cycle of length L through edge (u, w) closes a simple path of L-1 edges
-from u to w whose interior avoids both endpoints, so per-edge counting is
-a depth-bounded DFS over an integer adjacency cache.  Girth is the minimum
-over truncated BFS runs rooted at every point vertex; every cycle in these
-bipartite graphs alternates sides, so point roots see all of them.  The
-census never assumes vertex-transitivity.
+Girth is the minimum over truncated BFS runs rooted at every point vertex;
+every cycle in these bipartite graphs alternates sides, so point roots see
+all of them.  The census never assumes vertex-transitivity.
+
+Per-edge girth-cycle counts meet in the middle (Alon, Yuster and Zwick,
+"Finding and counting given length cycles", Algorithmica 1997).  Let g be
+the measured girth and k = g/2 - 1.  Mark the endpoints of the
+non-backtracking walks of k edges from w that do not start through u, walk
+the same way from u without starting through w, and count the edges from a
+u-leaf to a marked w-leaf.  Two different walks of this kind that end at
+the same vertex, joined through uw when they start at different ends,
+would contain a cycle of at most 2k + 1 < g edges.  So the ball of radius
+k around uw is a tree: the walks' endpoints are distinct and the two sides
+share no vertex.  Each leaf-to-leaf edge therefore closes exactly one
+cycle of 2k + 2 = g edges through uw, and each g-cycle through uw splits
+at its edge opposite uw into exactly one such pair, so no visited table is
+needed.  The cost is about q(q-1)**k steps per edge, against (q-1)**(g-2)
+for a depth-first walk of the g-1 edge paths from u to w.
+
+That depth-first walk, `count_simple_paths`, stays as the test oracle and
+for cycle lengths other than the girth, where the ball need not be a tree.
 
 Exhaustive runs fan the per-edge counts over a worker pool and merge them
 by edge index, so output is identical for any worker count or scheduling.
@@ -69,7 +84,33 @@ class Exhaustive:
         return "exhaustive"
 
 
-CensusMode = BaseEdgeOnly | Sampled | Exhaustive
+AUTO_BUDGET = 10**9
+
+
+def estimated_census_cost(edges: int, q: int, g: int) -> int:
+    """Inner-loop steps of an exhaustive census: q*(q-1)**(g/2-1) per edge.
+
+    Serial counting ran at 6 to 12 * 10**6 of these steps per second on a
+    2-core x86-64 host under CPython 3 (lie:M3,q=5 to wenger:n=2,q=11), so
+    AUTO_BUDGET buys about 1.5 to 3 minutes of one core.
+    """
+    return edges * q * (q - 1) ** (g // 2 - 1)
+
+
+@dataclass(frozen=True)
+class Auto:
+    """Exhaustive when the estimated census cost fits AUTO_BUDGET, else a
+    256-edge sample; certify resolves it once it has measured the girth."""
+
+    seed: int = 0
+
+    def resolve(self, edges: int, q: int, g: int) -> "CensusMode":
+        if estimated_census_cost(edges, q, g) <= AUTO_BUDGET:
+            return Exhaustive()
+        return Sampled(seed=self.seed, count=256)
+
+
+CensusMode = BaseEdgeOnly | Sampled | Exhaustive | Auto
 
 
 class NonUniformCountsError(Exception):
@@ -261,6 +302,41 @@ def count_simple_paths(adj, u: int, w: int, length: int) -> int:
     return rec(u, length)
 
 
+class GirthCycleCounter:
+    """Girth cycles through edges of one graph, met in the middle.
+
+    g must be the graph's girth (see the module docstring).  One mark list
+    serves every edge: each count takes a fresh stamp, so nothing is reset.
+    """
+
+    def __init__(self, adj, g: int):
+        self.adj = adj
+        self.depth = g // 2 - 1
+        self.mark = [0] * len(adj)
+        self.stamp = 0
+
+    def _leaves(self, root: int, avoid: int) -> list[tuple[int, int]]:
+        """(endpoint, previous vertex) of each non-backtracking walk of
+        `depth` edges from root whose first step avoids `avoid`."""
+        adj = self.adj
+        frontier = [(root, avoid)]
+        for _ in range(self.depth):
+            frontier = [(z, y) for y, p in frontier for z in adj[y] if z != p]
+        return frontier
+
+    def __call__(self, u: int, w: int) -> int:
+        self.stamp += 1
+        stamp, mark, adj = self.stamp, self.mark, self.adj
+        for a, _ in self._leaves(w, u):
+            mark[a] = stamp
+        c = 0
+        for b, _ in self._leaves(u, w):
+            for a in adj[b]:
+                if mark[a] == stamp:
+                    c += 1
+        return c
+
+
 def cycles_through_edge_ids(adj, u: int, w: int, length: int) -> int:
     return count_simple_paths(adj, u, w, length - 1)
 
@@ -287,19 +363,18 @@ def count_cycles_through_edge(
 _WORKER_STATE: tuple | None = None
 
 
-def _worker_init(adj, length):
+def _worker_init(adj, g):
     global _WORKER_STATE
-    _WORKER_STATE = (adj, length)
+    _WORKER_STATE = GirthCycleCounter(adj, g)
 
 
 def _worker_count(chunk):
-    adj, length = _WORKER_STATE
-    return [count_simple_paths(adj, u, w, length) for u, w in chunk]
+    counter = _WORKER_STATE
+    return [counter(u, w) for u, w in chunk]
 
 
 def _count_edges(ctx: GraphContext, edges: list[tuple[int, int]], g: int, workers: int):
-    """Count (g-1)-paths for each listed edge; order-stable and parallel-safe."""
-    length = g - 1
+    """Girth cycles through each listed edge; order-stable and parallel-safe."""
     if workers > 1 and len(edges) >= 4:
         try:
             mp = multiprocessing.get_context("fork")
@@ -307,10 +382,11 @@ def _count_edges(ctx: GraphContext, edges: list[tuple[int, int]], g: int, worker
             mp = None
         if mp is not None:
             chunks = _split(edges, 4 * workers)
-            with mp.Pool(workers, initializer=_worker_init, initargs=(ctx.adj, length)) as pool:
+            with mp.Pool(workers, initializer=_worker_init, initargs=(ctx.adj, g)) as pool:
                 parts = pool.map(_worker_count, chunks)
             return [c for part in parts for c in part]
-    return [count_simple_paths(ctx.adj, u, w, length) for u, w in edges]
+    counter = GirthCycleCounter(ctx.adj, g)
+    return [counter(u, w) for u, w in edges]
 
 
 def _split(items: list, pieces: int) -> list[list]:
@@ -369,7 +445,8 @@ def certify(
     Exhaustive mode counts through every edge and insists the counts agree;
     Sampled does the same on a seeded pseudo-random edge set; BaseEdgeOnly
     counts through the all-zero edge alone, which certifies lambda only for
-    graphs already known to be edge-transitive.
+    graphs already known to be edge-transitive.  Auto becomes Exhaustive or
+    Sampled once the girth is measured.
     """
     return _certify_context(
         GraphContext.build(spec),
@@ -418,6 +495,8 @@ def _certify_context(
     v = ctx.n_vertices
     k = ctx.field.q
 
+    if isinstance(mode, Auto):
+        mode = mode.resolve(ctx.n_points * k, k, g)
     if isinstance(mode, BaseEdgeOnly):
         edges = [_base_edge_ids(ctx)]
     elif isinstance(mode, Sampled):
@@ -480,16 +559,3 @@ def count_cycles_total(spec: FamilySpec, length: int | None = None, *, workers: 
             f"edge-count sum {edge_sum} is not divisible by the cycle length {length}"
         )
     return edge_sum // length
-
-
-def estimated_census_cost(spec: FamilySpec, g: int) -> int:
-    """Rough inner-loop operation count for an exhaustive census."""
-    q, d = spec.q, spec.dimension
-    return q ** (d + 1) * q * q * max(1, (q - 1)) ** (g - 4)
-
-
-def auto_mode(spec: FamilySpec, g: int, *, budget: int = 10**9, seed: int = 0) -> CensusMode:
-    """Exhaustive when the cost estimate fits the budget, else a 256-edge sample."""
-    if estimated_census_cost(spec, g) <= budget:
-        return Exhaustive()
-    return Sampled(seed=seed, count=256)

@@ -23,7 +23,7 @@ from .automorphisms import (
     sampled_edges,
     verify_automorphism,
 )
-from .census import BaseEdgeOnly, Exhaustive, NonUniformCountsError, Sampled, certify
+from .census import Auto, BaseEdgeOnly, Exhaustive, NonUniformCountsError, Sampled, certify
 from .families import Family, FamilySpec, parse_family_spec, relations
 
 EXIT_OK = 0
@@ -76,14 +76,14 @@ def _parse_expect(text: str) -> tuple[int, int]:
         raise ValueError(f"--expect needs g=<int>,lambda=<int>, got {text!r}") from None
 
 
-def _census_mode(config: RunConfig, spec: FamilySpec) -> census.CensusMode:
+def _census_mode(config: RunConfig) -> census.CensusMode:
     if config.mode == "exhaustive":
         return Exhaustive()
     if config.mode == "base-edge":
         return BaseEdgeOnly()
     if config.mode == "sampled":
         return Sampled(seed=config.seed, count=config.sample_count)
-    return census.auto_mode(spec, census.girth(spec), seed=config.seed)
+    return Auto(seed=config.seed)
 
 
 def cmd_generate(args) -> int:
@@ -108,7 +108,7 @@ def cmd_certify(args) -> int:
         expect=_parse_expect(args.expect) if args.expect else None,
     )
     spec = parse_family_spec(config.family)
-    mode = _census_mode(config, spec)
+    mode = _census_mode(config)
     start = time.perf_counter()
     try:
         cert = certify(spec, mode, workers=config.workers)
@@ -146,7 +146,8 @@ def cmd_predict(args) -> int:
     }
     if args.bounds:
         report = predictions.extremal_lower_bounds(spec.q, g, lam)
-        if spec.q % 2 and g in (6, 8):
+        # sandwich holds only at the lambda it is computed for
+        if spec.q % 2 and g in (6, 8) and lam == predictions.sandwich_lambda(spec.q, g):
             report = replace(report, sandwich=predictions.sandwich(spec.q, g))
         payload["moore"] = report.moore
         payload["extremal_general"] = report.extremal_general
@@ -277,7 +278,7 @@ def cmd_bench(args) -> int:
             output=args.output,
         )
         spec = parse_family_spec(config.family)
-        mode = _census_mode(config, spec)
+        mode = _census_mode(config)
         baseline = None
         for workers in worker_ladder:
             start = time.perf_counter()

@@ -146,9 +146,13 @@ def sandwich(q: int, g: int) -> tuple[int, int]:
     p, _ = factor_prime_power(q)
     if p == 2:
         raise ValueError(f"q must be an odd prime power, got {q}")
-    lam = (q - 1) ** ((g - 2) // 2) * (q - 2)
-    lower = extremal_lower_bounds(q, g, lam).extremal_bipartite
+    lower = extremal_lower_bounds(q, g, sandwich_lambda(q, g)).extremal_bipartite
     return lower, 2 * q ** ((g - 2) // 2)
+
+
+def sandwich_lambda(q: int, g: int) -> int:
+    """The lambda that sandwich(q, g) is computed at: (q-1)**((g-2)/2)*(q-2)."""
+    return (q - 1) ** ((g - 2) // 2) * (q - 2)
 
 
 def turan_lower_bound(ell: int, q: int) -> int:

@@ -11,6 +11,7 @@ from egr.automorphisms import (
     verify_automorphism,
 )
 from egr.census import Lcg
+from egr.finite_field import Field
 
 EXHAUSTIVE_CASES = [(1, 3), (1, 4), (2, 3), (2, 2)]
 
@@ -141,6 +142,22 @@ def test_edge_to_base_seeded_random_edges_l2_q4():
         ln = adg.neighbors(pt, rel)[rng.below(q)]
         maps = edge_to_base((pt, ln), m, q)
         assert (apply_sequence(maps, pt), apply_sequence(maps, ln)) == base
+
+
+def test_edge_to_base_builds_no_field_per_call(monkeypatch):
+    rel = lwenger_relations(2, 3)
+    built = []
+    original = Field.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counted)
+    for pt, ln in adg.edge_iter(rel):
+        edge_to_base((pt, ln), 2, 3)
+    assert built == []
+    assert lwenger_relations(2, 3) is rel
 
 
 def test_edge_to_base_rejects_non_edge():

@@ -247,8 +247,12 @@ def test_certificate_json_schema():
 
 
 def test_auto_mode_policy():
-    assert isinstance(census.auto_mode(spec(Family.WENGER, 3, 2), 8), Exhaustive)
-    assert isinstance(census.auto_mode(spec(Family.LIE_M3, 5), 12), Sampled)
+    def resolve(s, g):
+        return census.Auto(seed=5).resolve(s.q ** (s.dimension + 1), s.q, g)
+
+    assert isinstance(resolve(spec(Family.WENGER, 3, 2), 8), Exhaustive)
+    assert isinstance(resolve(spec(Family.LIE_M3, 5), 12), Exhaustive)
+    assert resolve(spec(Family.LIE_M3, 7), 12) == Sampled(seed=5, count=256)
 
 
 # ---------------------------------------------------------------------------

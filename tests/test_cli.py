@@ -2,7 +2,7 @@ import json
 
 import networkx as nx
 
-from egr import census, cli
+from egr import adg, census, cli
 from egr.cli import main
 
 
@@ -70,6 +70,26 @@ def test_certify_json_and_expectations(capsys):
     assert payload["field"] == {"p": 3, "e": 1, "modulus": [0, 1]}
 
 
+def test_certify_auto_builds_one_graph(capsys, monkeypatch):
+    calls = {"build_adjacency": 0, "girth_of_adjacency": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(adg, "build_adjacency")
+    counted(census, "girth_of_adjacency")
+    code, stdout, _ = run(capsys, "certify", "--family", "wenger:n=2,q=5", "--workers", "1")
+    assert code == 0
+    assert json.loads(stdout)["mode"] == "exhaustive"
+    assert calls == {"build_adjacency": 1, "girth_of_adjacency": 1}
+
+
 def test_certify_mismatch_exit_code(capsys):
     code, stdout, _ = run(
         capsys, "certify", "--family", "wenger:n=2,q=3", "--expect", "g=8,lambda=9"
@@ -135,6 +155,19 @@ def test_predict_json(capsys):
     assert payload["extremal_bipartite"] == 18
     assert payload["sandwich"] == [18, 18]
     assert payload["turan"] == 18
+
+
+def test_predict_sandwich_only_at_its_lambda(capsys):
+    # W_1(5) has the sandwich's lambda (q-1)**2*(q-2) = 48
+    _, stdout, _ = run(capsys, "predict", "--family", "wenger:n=1,q=5", "--bounds")
+    payload = json.loads(stdout)
+    assert payload["lambda"] == 48
+    assert payload["sandwich"] == [50, 50]
+    # W_2(5) has lambda 160; the g = 8 sandwich is computed at 192
+    _, stdout, _ = run(capsys, "predict", "--family", "wenger:n=2,q=5", "--bounds")
+    payload = json.loads(stdout)
+    assert payload["lambda"] == 160
+    assert "sandwich" not in payload
 
 
 def test_predict_turan_even_q_is_null(capsys):
