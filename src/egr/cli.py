@@ -48,14 +48,24 @@ class RunConfig:
     expect: tuple[int, int] | None = None
 
 
-def resolve_workers(flag: int | None) -> int:
-    """Explicit --workers wins; else EGR_WORKERS; else all available cores."""
+def resolve_workers(flag: int | str | None) -> int:
+    """Explicit --workers wins; else EGR_WORKERS; else all available cores.
+
+    Either must be an integer of at least 1; ValueError names the source.
+    """
     if flag is not None:
-        return flag
-    env = os.environ.get("EGR_WORKERS")
-    if env:
-        return int(env)
-    return census.default_workers()
+        source, value = "--workers", flag
+    else:
+        source, value = "EGR_WORKERS", os.environ.get("EGR_WORKERS")
+        if not value:
+            return census.default_workers()
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{source} must be an integer of at least 1, got {value!r}")
+    return workers
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -117,9 +127,7 @@ def cmd_certify(args) -> int:
         sys.stdout.write("\n")
         return EXIT_NONUNIFORM
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    payload = census.certificate_to_json(
-        cert, relations(spec).field, elapsed_ms, config.workers
-    )
+    payload = census.certificate_to_json(cert, elapsed_ms, config.workers)
 
     expect = config.expect
     if expect is None and args.expect_predicted:
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cert.add_argument("--seed", type=int, default=0)
     cert.add_argument("--sample-count", type=int, default=256)
-    cert.add_argument("--workers", type=int, default=None)
+    cert.add_argument("--workers", default=None)
     cert.add_argument("--expect", default=None, help="g=<int>,lambda=<int>")
     cert.add_argument(
         "--expect-predicted",
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--index", required=True, help="comma-separated n or m values")
     table.add_argument("--q", required=True, help="comma-separated prime powers")
     table.add_argument("--cutoff", type=int, default=TABLE_EXHAUSTIVE_CUTOFF)
-    table.add_argument("--workers", type=int, default=None)
+    table.add_argument("--workers", default=None)
     table.add_argument("--output", default=None)
     table.set_defaults(func=cmd_table)
 

@@ -25,7 +25,7 @@ from egr.automorphisms import (
     verify_automorphism,
 )
 from egr.census import Exhaustive, certify
-from egr.families import Family, FamilySpec, relations
+from egr.families import Family, FamilySpec
 from egr.predictions import (
     extremal_lower_bounds,
     moore_bound,
@@ -268,13 +268,12 @@ def test_criterion_12_worker_count_determinism():
     start = time.perf_counter()
     failures = []
     spec = FamilySpec(Family.WENGER, 5, 2)
-    field = relations(spec).field
     payloads = []
     certs = []
     for workers in (1, 2, 8):
         c = certify(spec, Exhaustive(), workers=workers)
         certs.append(c)
-        payload = census.certificate_to_json(c, field, 0.0, workers)
+        payload = census.certificate_to_json(c, 0.0, workers)
         payload.pop("elapsed_ms")
         payload.pop("workers")
         import json

@@ -227,7 +227,7 @@ def test_certify_relations_named_family_matches():
 def test_certificate_json_schema():
     s = spec(Family.WENGER, 3, 2)
     cert = certify(s, Exhaustive(), workers=1)
-    payload = census.certificate_to_json(cert, relations(s).field, 12.5, 2)
+    payload = census.certificate_to_json(cert, 12.5, 2)
     assert list(payload) == [
         "family",
         "q",
@@ -238,6 +238,7 @@ def test_certificate_json_schema():
         "g",
         "lambda",
         "mode",
+        "edges_counted",
         "total_girth_cycles",
         "elapsed_ms",
         "workers",

@@ -9,11 +9,13 @@ from egr.adg import Side, Vertex
 from egr.census import (
     BaseEdgeOnly,
     Exhaustive,
+    GraphContext,
     Sampled,
     certify,
     count_simple_paths,
     cycles_through_edge_ids,
     girth_of_adjacency,
+    girth_of_context,
 )
 from egr.families import Family, FamilySpec, relations
 
@@ -41,6 +43,8 @@ def test_girth_of_complete_bipartite():
 def test_girth_of_tree_is_unbounded():
     adj = [(1,), (0, 2), (1, 3), (2,)]
     assert girth_of_adjacency(adj, 4) > 1 << 29
+    with pytest.raises(ValueError, match="acyclic"):
+        girth_of_context(GraphContext(field=None, rel=None, adj=adj))
 
 
 def test_path_counts_on_cycle():

@@ -1,9 +1,12 @@
 import json
+import sys
 
 import networkx as nx
+import pytest
 
-from egr import adg, census, cli
+from egr import adg, census, cli, families
 from egr.cli import main
+from egr.finite_field import Field
 
 
 def run(capsys, *argv):
@@ -88,6 +91,92 @@ def test_certify_auto_builds_one_graph(capsys, monkeypatch):
     assert code == 0
     assert json.loads(stdout)["mode"] == "exhaustive"
     assert calls == {"build_adjacency": 1, "girth_of_adjacency": 1}
+
+
+def test_certify_builds_one_relation_set(capsys, monkeypatch):
+    calls = {"relations": 0, "Field.__init__": 0}
+    original_relations = families.relations
+    original_init = Field.__init__
+
+    def relations(*args, **kwargs):
+        calls["relations"] += 1
+        return original_relations(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        calls["Field.__init__"] += 1
+        original_init(self, *args, **kwargs)
+
+    # replace the function wherever an egr module binds it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "egr" and getattr(module, "relations", None) is original_relations:
+            monkeypatch.setattr(module, "relations", relations)
+    monkeypatch.setattr(Field, "__init__", init)
+    code, stdout, _ = run(capsys, "certify", "--family", "wenger:n=2,q=5", "--workers", "1")
+    assert code == 0
+    assert json.loads(stdout)["field"] == {"p": 5, "e": 1, "modulus": [0, 1]}
+    assert calls == {"relations": 1, "Field.__init__": 1}
+
+
+@pytest.mark.parametrize(
+    "mode_args, mode, edges_counted",
+    [
+        # 256 draws of the seeded sampler hit 210 distinct edges
+        (("--mode", "sampled", "--seed", "0", "--sample-count", "256"), "sampled:seed=0,count=256", 210),
+        (("--mode", "exhaustive"), "exhaustive", 5**4),
+        (("--mode", "base-edge"), "base-edge-only", 1),
+    ],
+)
+def test_certify_reports_edges_counted(capsys, mode_args, mode, edges_counted):
+    code, stdout, _ = run(
+        capsys, "certify", "--family", "wenger:n=2,q=5", *mode_args, "--workers", "1"
+    )
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["mode"] == mode
+    assert payload["edges_counted"] == edges_counted
+    assert payload["lambda"] == 160
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--mode", "sampled", "--sample-count", "0"), "sample count"),
+        (("--mode", "sampled", "--sample-count", "-1"), "sample count"),
+        (("--workers", "0"), "--workers"),
+        (("--workers", "-2"), "--workers"),
+        (("--workers", "two"), "--workers"),
+    ],
+)
+def test_certify_bad_input_is_one_line_exit_1(capsys, argv, named):
+    code, stdout, err = run(capsys, "certify", "--family", "wenger:n=1,q=3", *argv)
+    assert code == cli.EXIT_ERROR
+    assert stdout == ""
+    assert err.startswith("egr: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_egr_workers_is_named(capsys, monkeypatch, value):
+    monkeypatch.setenv("EGR_WORKERS", value)
+    with pytest.raises(ValueError, match="EGR_WORKERS"):
+        cli.resolve_workers(None)
+    code, _, err = run(capsys, "certify", "--family", "wenger:n=1,q=3")
+    assert code == cli.EXIT_ERROR
+    assert err.count("\n") == 1 and "EGR_WORKERS" in err and repr(value) in err
+
+
+def test_resolve_workers_rejects_bad_flags():
+    for flag in (0, -2, "0", "x", "1.5"):
+        with pytest.raises(ValueError, match="--workers"):
+            cli.resolve_workers(flag)
+    assert cli.resolve_workers("3") == 3
+
+
+def test_sampled_rejects_a_count_below_one():
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="sample count"):
+            census.Sampled(seed=0, count=count)
+    assert census.Sampled(count=1).count == 1
 
 
 def test_certify_mismatch_exit_code(capsys):

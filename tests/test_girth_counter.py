@@ -44,24 +44,31 @@ def assert_counter_matches_oracle(ctx, pool):
     return g
 
 
+EVERY_EDGE_SPECS = [
+    "wenger:n=1,q=3",
+    "wenger:n=1,q=4",
+    "wenger:n=1,q=5",
+    "wenger:n=2,q=3",
+    "wenger:n=2,q=4",
+    "wenger:n=2,q=5",
+    "wenger-alt:n=2,q=3",
+    "wenger-alt:n=2,q=4",
+    "lwenger:m=2,q=2",
+    "lwenger:m=2,q=4",
+    "lwenger:m=2,q=8",
+    "lwenger:m=2,q=9",
+    "lwenger:m=3,q=3",
+    "lie:M1,q=3",
+    "lie:M2,q=3",
+]
+SLOW_FOR_THE_DFS = {"lwenger:m=2,q=8"}
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        "wenger:n=1,q=3",
-        "wenger:n=1,q=4",
-        "wenger:n=1,q=5",
-        "wenger:n=2,q=3",
-        "wenger:n=2,q=4",
-        "wenger:n=2,q=5",
-        "wenger-alt:n=2,q=3",
-        "wenger-alt:n=2,q=4",
-        "lwenger:m=2,q=2",
-        "lwenger:m=2,q=4",
-        pytest.param("lwenger:m=2,q=8", marks=pytest.mark.slow),
-        "lwenger:m=2,q=9",
-        "lwenger:m=3,q=3",
-        "lie:M1,q=3",
-        "lie:M2,q=3",
+        pytest.param(text, marks=pytest.mark.slow) if text in SLOW_FOR_THE_DFS else text
+        for text in EVERY_EDGE_SPECS
     ],
 )
 def test_counter_equals_dfs_on_every_edge(text, oracle_pool):
