@@ -24,6 +24,7 @@ from .automorphisms import (
     apply_sigma,
     edge_to_base,
     verify_automorphism,
+    verify_lwenger,
 )
 from .census import (
     Auto,

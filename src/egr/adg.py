@@ -1,12 +1,12 @@
 """Bipartite graphs cut out by triangular systems of coordinate relations.
 
 Vertices are two copies of F_q^d, points and lines.  A point (p_1,...,p_d)
-and a line [l_1,...,l_d] are adjacent when a_i*p_i + b_i*l_i =
-f_i(p_1, l_1, ..., p_{i-1}, l_{i-1}) holds for every i in 2..d, with unit
-coefficients (a_i, b_i) defaulting to (1, 1).  Each relation determines one
-coordinate from earlier ones, so fixing a vertex and the first coordinate
-of an opposite-side vertex pins down a unique neighbour: the graph is
-q-regular and can be walked without ever materializing adjacency.
+and a line [l_1,...,l_d] are adjacent when p_i + l_i =
+f_i(p_1, l_1, ..., p_{i-1}, l_{i-1}) holds for every i in 2..d.  Each
+relation determines one coordinate from earlier ones, so fixing a vertex
+and the first coordinate of an opposite-side vertex pins down a unique
+neighbour: the graph is q-regular and can be walked without ever
+materializing adjacency.
 
 Vertices carry a canonical integer id: side bit times q**d plus the
 base-q encoding of the coordinate indices, first coordinate least
@@ -52,15 +52,12 @@ class RelationSet:
     field: Field
     d: int
     relations: tuple[Callable[..., FieldElement], ...]
-    units: tuple[tuple[FieldElement, FieldElement], ...] | None = None
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("coordinate dimension must be >= 1")
         if len(self.relations) != self.d - 1:
             raise ValueError(f"expected {self.d - 1} relations, got {len(self.relations)}")
-        if self.units is not None and len(self.units) != self.d - 1:
-            raise ValueError("units, when given, need one (a_i, b_i) pair per relation")
 
 
 def _check_vertex(v: Vertex, rel: RelationSet, side: Side | None = None) -> None:
@@ -76,13 +73,7 @@ def adjacent(point: Vertex, line: Vertex, rel: RelationSet) -> bool:
     _check_vertex(line, rel, Side.LINE)
     p, l = point.coords, line.coords
     for j, f in enumerate(rel.relations):
-        rhs = f(p[: j + 1], l[: j + 1])
-        if rel.units is None:
-            lhs = p[j + 1] + l[j + 1]
-        else:
-            a, b = rel.units[j]
-            lhs = a * p[j + 1] + b * l[j + 1]
-        if lhs != rhs:
+        if p[j + 1] + l[j + 1] != f(p[: j + 1], l[: j + 1]):
             return False
     return True
 
@@ -100,12 +91,7 @@ def neighbors(v: Vertex, rel: RelationSet) -> list[Vertex]:
                 rhs = f(known[: j + 1], tuple(solved))
             else:
                 rhs = f(tuple(solved), known[: j + 1])
-            if rel.units is None:
-                solved.append(rhs - known[j + 1])
-            else:
-                a, b = rel.units[j]
-                keep, find = (a, b) if from_point else (b, a)
-                solved.append((rhs - keep * known[j + 1]) * find.inverse())
+            solved.append(rhs - known[j + 1])
         out.append(Vertex(Side.LINE if from_point else Side.POINT, tuple(solved)))
     return out
 
@@ -154,7 +140,10 @@ def build_adjacency(rel: RelationSet) -> list[tuple[int, ...]]:
     q, d = rel.field.q, rel.d
     half = q**d
     if half > ADJACENCY_CACHE_LIMIT:
-        raise ValueError(f"adjacency cache limited to q**d <= {ADJACENCY_CACHE_LIMIT}")
+        raise ValueError(
+            f"adjacency cache limited to {ADJACENCY_CACHE_LIMIT} points per side; "
+            f"this graph has {half} ({q}**{d})"
+        )
     line_rows: list[list[int]] = [[] for _ in range(half)]
     adj: list[tuple[int, ...]] = [()] * (2 * half)
     for pid in range(half):

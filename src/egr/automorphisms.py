@@ -20,8 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .adg import RelationSet, Side, Vertex, adjacent, edge_iter, neighbors, vertex_from_id
-from .census import Lcg
+from .adg import (
+    RelationSet,
+    Side,
+    Vertex,
+    adjacent,
+    edge_iter,
+    neighbors,
+    vertex_count,
+    vertex_from_id,
+)
+from .census import sample_draws
 from .families import Family, FamilySpec, relations
 from .finite_field import FieldElement
 
@@ -93,26 +102,34 @@ def apply_sequence(maps: list[SigmaMap], v: Vertex) -> Vertex:
     return v
 
 
-def verify_automorphism(rel: RelationSet, image, mode: str = "auto", seed: int = 0) -> VerifyResult:
-    """Check that `image` (a SigmaMap or vertex map) preserves adjacency.
+def check_edges(
+    rel: RelationSet, mode: str = "auto", seed: int = 0
+) -> list[tuple[Vertex, Vertex]]:
+    """The (point, line) edges an automorphism check runs over.
 
-    Exhaustive over all q**(m+1) * q edges when the graph has at most
-    EXHAUSTIVE_VERTEX_LIMIT vertices or mode forces it; otherwise a seeded
-    sample of SAMPLE_EDGE_COUNT edges.
+    Every edge when mode is exhaustive, or auto on a graph of at most
+    EXHAUSTIVE_VERTEX_LIMIT vertices; otherwise SAMPLE_EDGE_COUNT seeded
+    draws, duplicates kept.
     """
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise ValueError(f"mode must be auto, exhaustive or sampled, got {mode!r}")
+    if mode == "auto":
+        mode = "exhaustive" if vertex_count(rel) <= EXHAUSTIVE_VERTEX_LIMIT else "sampled"
+    if mode == "exhaustive":
+        return list(edge_iter(rel))
+    edges = []
+    for pid, slot in sample_draws(seed, rel.field.q**rel.d, rel.field.q, SAMPLE_EDGE_COUNT):
+        pt = vertex_from_id(pid, rel)
+        edges.append((pt, neighbors(pt, rel)[slot]))
+    return edges
+
+
+def verify_automorphism(rel: RelationSet, image, edges) -> VerifyResult:
+    """Check that `image` (a SigmaMap or vertex map) keeps every listed
+    (point, line) edge an edge."""
     if isinstance(image, SigmaMap):
         sigma = image
         image = lambda v: apply_sigma(sigma, v)
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise ValueError(f"mode must be auto, exhaustive or sampled, got {mode!r}")
-    n_vertices = 2 * rel.field.q**rel.d
-    if mode == "auto":
-        mode = "exhaustive" if n_vertices <= EXHAUSTIVE_VERTEX_LIMIT else "sampled"
-
-    if mode == "exhaustive":
-        edges = edge_iter(rel)
-    else:
-        edges = sampled_edges(rel, seed)
     checked = 0
     for pt, ln in edges:
         checked += 1
@@ -121,13 +138,42 @@ def verify_automorphism(rel: RelationSet, image, mode: str = "auto", seed: int =
     return VerifyResult(ok=True, edges_checked=checked)
 
 
-def sampled_edges(rel: RelationSet, seed: int, count: int = SAMPLE_EDGE_COUNT):
-    """A seeded pseudo-random stream of edges, duplicates possible."""
-    rng = Lcg(seed)
-    n_points = rel.field.q**rel.d
-    for _ in range(count):
-        pt = vertex_from_id(rng.below(n_points), rel)
-        yield pt, neighbors(pt, rel)[rng.below(rel.field.q)]
+@dataclass(frozen=True)
+class LwengerCheck:
+    """Outcome of `verify_lwenger`.  On failure, `counterexample` is the
+    first edge that broke, and `sigma` the map that broke it, or None when
+    `edge_to_base` failed to carry it onto the zero edge."""
+
+    maps_checked: int
+    edges_mapped_to_base: int
+    counterexample: tuple[Vertex, Vertex] | None = None
+    sigma: SigmaMap | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
+
+
+def verify_lwenger(m: int, q: int, mode: str = "auto", seed: int = 0) -> LwengerCheck:
+    """Check on one edge set that all (m+2)*q maps sigma(i, x) are
+    automorphisms of L_m(q) and that `edge_to_base` carries every edge onto
+    the zero edge; stop at the first failure."""
+    rel = lwenger_relations(m, q)
+    edges = check_edges(rel, mode, seed)
+    maps_checked = 0
+    for i in range(m + 2):
+        for x in rel.field.elements():
+            sigma = SigmaMap(i, x, m)
+            result = verify_automorphism(rel, sigma, edges)
+            maps_checked += 1
+            if not result.ok:
+                return LwengerCheck(maps_checked, 0, result.counterexample, sigma)
+    base = (vertex_from_id(0, rel), vertex_from_id(q**rel.d, rel))
+    for mapped, (pt, ln) in enumerate(edges):
+        maps = edge_to_base((pt, ln), m, q)
+        if (apply_sequence(maps, pt), apply_sequence(maps, ln)) != base:
+            return LwengerCheck(maps_checked, mapped, (pt, ln))
+    return LwengerCheck(maps_checked, len(edges))
 
 
 def edge_to_base(edge: tuple[Vertex, Vertex], m: int, q: int) -> list[SigmaMap]:

@@ -78,6 +78,14 @@ class Lcg:
         return (self.next_raw() >> 33) % n
 
 
+def sample_draws(seed: int, n_points: int, q: int, count: int) -> list[tuple[int, int]]:
+    """The seeded edge sample: `count` draws of (point id, neighbour slot),
+    duplicates kept.  Slot s names the point's s-th neighbour in canonical
+    order, so every command that samples the same graph draws the same edges."""
+    rng = Lcg(seed)
+    return [(rng.below(n_points), rng.below(q)) for _ in range(count)]
+
+
 # -- census modes ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -86,14 +94,18 @@ class BaseEdgeOnly:
         return "base-edge-only"
 
 
+def _require_sample_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
+
+
 @dataclass(frozen=True)
 class Sampled:
     seed: int = 0
     count: int = 256
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"sample count must be at least 1, got {self.count}")
+        _require_sample_count(self.count)
 
     def describe(self) -> str:
         return f"sampled:seed={self.seed},count={self.count}"
@@ -121,14 +133,19 @@ def estimated_census_cost(edges: int, q: int, g: int) -> int:
 @dataclass(frozen=True)
 class Auto:
     """Exhaustive when the estimated census cost fits AUTO_BUDGET, else a
-    256-edge sample; certify resolves it once it has measured the girth."""
+    sample of `count` draws; certify resolves it once it has measured the
+    girth."""
 
     seed: int = 0
+    count: int = 256
+
+    def __post_init__(self):
+        _require_sample_count(self.count)
 
     def resolve(self, edges: int, q: int, g: int) -> "CensusMode":
         if estimated_census_cost(edges, q, g) <= AUTO_BUDGET:
             return Exhaustive()
-        return Sampled(seed=self.seed, count=256)
+        return Sampled(seed=self.seed, count=self.count)
 
 
 CensusMode = BaseEdgeOnly | Sampled | Exhaustive | Auto
@@ -138,14 +155,16 @@ class NonUniformCountsError(Exception):
     """Two edges of the same graph lie on different numbers of girth cycles.
 
     This falsifies edge-girth-regularity for the graph at hand; the two
-    offending edges are kept as (point_id, line_id, count) witnesses.
+    offending edges are kept as (point_id, line_id, count) witnesses, with
+    the girth g whose cycles were counted.
     """
 
-    def __init__(self, witness_a, witness_b):
+    def __init__(self, witness_a, witness_b, g: int):
         self.witness_a = witness_a
         self.witness_b = witness_b
+        self.g = g
         super().__init__(
-            f"per-edge girth-cycle counts differ: edge {witness_a[:2]} lies on "
+            f"per-edge girth-cycle counts differ at girth g = {g}: edge {witness_a[:2]} lies on "
             f"{witness_a[2]} cycles, edge {witness_b[:2]} on {witness_b[2]}"
         )
 
@@ -406,10 +425,6 @@ class GirthCycleCounter:
         return c
 
 
-def cycles_through_edge_ids(adj, u: int, w: int, length: int) -> int:
-    return count_simple_paths(adj, u, w, length - 1)
-
-
 def count_cycles_through_edge(
     spec: FamilySpec, edge: tuple[Vertex, Vertex], length: int
 ) -> int:
@@ -424,7 +439,7 @@ def count_cycles_through_edge(
         raise ValueError("the given vertex pair is not an edge")
     u = adg.vertex_id(a, ctx.rel)
     w = adg.vertex_id(b, ctx.rel)
-    return cycles_through_edge_ids(ctx.adj, u, w, length)
+    return count_simple_paths(ctx.adj, u, w, length - 1)
 
 
 # -- parallel per-edge census --------------------------------------------------
@@ -483,22 +498,17 @@ def _base_edge_ids(ctx: GraphContext) -> tuple[int, int]:
 
 
 def _sample_edges(ctx: GraphContext, seed: int, count: int) -> list[tuple[int, int]]:
-    rng = Lcg(seed)
-    q = ctx.field.q
-    drawn = {}
-    for _ in range(count):
-        pid = rng.below(ctx.n_points)
-        lid = ctx.adj[pid][rng.below(q)]
-        drawn[(pid, lid)] = None
-    return list(drawn)
+    """The distinct edges among the seeded draws, in first-drawn order."""
+    draws = sample_draws(seed, ctx.n_points, ctx.field.q, count)
+    return list(dict.fromkeys((pid, ctx.adj[pid][slot]) for pid, slot in draws))
 
 
-def _check_uniform(edges, counts):
+def _check_uniform(edges, counts, g: int):
     first = counts[0]
     for e, c in zip(edges, counts):
         if c != first:
             raise NonUniformCountsError(
-                (edges[0][0], edges[0][1], first), (e[0], e[1], c)
+                (edges[0][0], edges[0][1], first), (e[0], e[1], c), g
             )
 
 
@@ -577,7 +587,7 @@ def _certify_context(
 
     counts = _count_edges(ctx, edges, g, workers)
     if not isinstance(mode, BaseEdgeOnly):
-        _check_uniform(edges, counts)
+        _check_uniform(edges, counts, g)
     lam = counts[0]
     if lam < 1:
         raise ValueError("counted edge lies on no girth cycle; the graph is not edge-girth-regular")

@@ -1,7 +1,8 @@
-"""Command-line front end: construct, export, measure, verify, predict, bench.
+"""Command-line front end: construct, export, measure, verify, predict.
 
 Exit codes: 0 success, 1 usage or environment error, 2 expectation mismatch,
-3 non-uniform per-edge counts (the graph is not edge-girth-regular).
+3 non-uniform per-edge counts (the graph is not edge-girth-regular).  Every
+exit 1 prints one line, `egr: <message>`, on stderr.
 """
 
 from __future__ import annotations
@@ -11,18 +12,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import adg, census, predictions
-from .automorphisms import (
-    EXHAUSTIVE_VERTEX_LIMIT,
-    SigmaMap,
-    apply_sequence,
-    edge_to_base,
-    lwenger_relations,
-    sampled_edges,
-    verify_automorphism,
-)
+from .automorphisms import lwenger_relations, verify_lwenger
 from .census import Auto, BaseEdgeOnly, Exhaustive, NonUniformCountsError, Sampled, certify
 from .families import Family, FamilySpec, parse_family_spec, relations
 
@@ -32,20 +25,6 @@ EXIT_MISMATCH = 2
 EXIT_NONUNIFORM = 3
 
 TABLE_EXHAUSTIVE_CUTOFF = 20_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One census run: what to measure and how."""
-
-    command: str
-    family: str
-    mode: str = "auto"
-    seed: int = 0
-    sample_count: int = 256
-    workers: int = 1
-    output: str | None = None
-    expect: tuple[int, int] | None = None
 
 
 def resolve_workers(flag: int | str | None) -> int:
@@ -86,14 +65,14 @@ def _parse_expect(text: str) -> tuple[int, int]:
         raise ValueError(f"--expect needs g=<int>,lambda=<int>, got {text!r}") from None
 
 
-def _census_mode(config: RunConfig) -> census.CensusMode:
-    if config.mode == "exhaustive":
+def _census_mode(args) -> census.CensusMode:
+    if args.mode == "exhaustive":
         return Exhaustive()
-    if config.mode == "base-edge":
+    if args.mode == "base-edge":
         return BaseEdgeOnly()
-    if config.mode == "sampled":
-        return Sampled(seed=config.seed, count=config.sample_count)
-    return Auto(seed=config.seed)
+    if args.mode == "sampled":
+        return Sampled(seed=args.seed, count=args.sample_count)
+    return Auto(seed=args.seed, count=args.sample_count)
 
 
 def cmd_generate(args) -> int:
@@ -107,35 +86,26 @@ def cmd_generate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    config = RunConfig(
-        command="certify",
-        family=args.family,
-        mode=args.mode,
-        seed=args.seed,
-        sample_count=args.sample_count,
-        workers=resolve_workers(args.workers),
-        output=args.output,
-        expect=_parse_expect(args.expect) if args.expect else None,
-    )
-    spec = parse_family_spec(config.family)
-    mode = _census_mode(config)
+    workers = resolve_workers(args.workers)
+    expect = _parse_expect(args.expect) if args.expect else None
+    spec = parse_family_spec(args.family)
+    mode = _census_mode(args)
     start = time.perf_counter()
     try:
-        cert = certify(spec, mode, workers=config.workers)
+        cert = certify(spec, mode, workers=workers)
     except NonUniformCountsError as err:
-        json.dump({"error": "non-uniform", "detail": str(err)}, sys.stdout, indent=2)
+        json.dump({"error": "non-uniform", "g": err.g, "detail": str(err)}, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return EXIT_NONUNIFORM
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    payload = census.certificate_to_json(cert, elapsed_ms, config.workers)
+    payload = census.certificate_to_json(cert, elapsed_ms, workers)
 
-    expect = config.expect
     if expect is None and args.expect_predicted:
         expect = predictions.predict(spec)
     if expect is not None:
         payload["expected_g"], payload["expected_lambda"] = expect
         payload["match"] = expect == (cert.g, cert.lam)
-    _emit(json.dumps(payload, indent=2) + "\n", config.output)
+    _emit(json.dumps(payload, indent=2) + "\n", args.output)
     if expect is not None and not payload["match"]:
         return EXIT_MISMATCH
     return EXIT_OK
@@ -220,94 +190,43 @@ def cmd_table(args) -> int:
 
 
 def cmd_automorphism(args) -> int:
-    if args.action != "verify":
-        raise ValueError(f"unknown automorphism action {args.action!r}")
     spec = parse_family_spec(args.family)
     if spec.family is not Family.LINEARIZED:
         raise ValueError("explicit automorphisms are implemented for lwenger only")
-    m, q = spec.index, spec.q
-    rel = lwenger_relations(m, q)
-    field = rel.field
-    payload: dict = {"family": spec.label(), "mode": args.mode, "ok": True, "counterexample": None}
-    maps_checked = 0
-    for i in range(m + 2):
-        for x in field.elements():
-            result = verify_automorphism(rel, SigmaMap(i, x, m), mode=args.mode, seed=args.seed)
-            maps_checked += 1
-            if not result.ok:
-                pt, ln = result.counterexample
-                payload.update(
-                    ok=False,
-                    counterexample={
-                        "sigma": {"i": i, "x": x.index},
-                        "point": adg.vertex_id(pt, rel),
-                        "line": adg.vertex_id(ln, rel),
-                    },
-                )
-                _emit(json.dumps(payload, indent=2) + "\n", args.output)
-                return EXIT_ERROR
-    base = (adg.vertex_from_id(0, rel), adg.vertex_from_id(field.q**rel.d, rel))
-    mode = args.mode
-    if mode == "auto":
-        mode = "exhaustive" if 2 * q**rel.d <= EXHAUSTIVE_VERTEX_LIMIT else "sampled"
-    edge_source = adg.edge_iter(rel) if mode == "exhaustive" else sampled_edges(rel, args.seed)
-    edges_checked = 0
-    for pt, ln in edge_source:
-        maps = edge_to_base((pt, ln), m, q)
-        image = (apply_sequence(maps, pt), apply_sequence(maps, ln))
-        edges_checked += 1
-        if image != base:
-            payload.update(
-                ok=False,
-                counterexample={
-                    "edge_to_base": True,
-                    "point": adg.vertex_id(pt, rel),
-                    "line": adg.vertex_id(ln, rel),
-                },
-            )
-            _emit(json.dumps(payload, indent=2) + "\n", args.output)
-            return EXIT_ERROR
-    payload["maps_checked"] = maps_checked
-    payload["edges_mapped_to_base"] = edges_checked
+    result = verify_lwenger(spec.index, spec.q, args.mode, args.seed)
+    payload: dict = {
+        "family": spec.label(),
+        "mode": args.mode,
+        "ok": result.ok,
+        "counterexample": None,
+    }
+    if result.ok:
+        payload["maps_checked"] = result.maps_checked
+        payload["edges_mapped_to_base"] = result.edges_mapped_to_base
+    else:
+        rel = lwenger_relations(spec.index, spec.q)
+        pt, ln = result.counterexample
+        if result.sigma is None:
+            where: dict = {"edge_to_base": True}
+        else:
+            where = {"sigma": {"i": result.sigma.i, "x": result.sigma.x.index}}
+        where["point"] = adg.vertex_id(pt, rel)
+        where["line"] = adg.vertex_id(ln, rel)
+        payload["counterexample"] = where
     _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return EXIT_OK
+    return EXIT_OK if result.ok else EXIT_ERROR
 
 
-def cmd_bench(args) -> int:
-    worker_ladder = sorted({1, 2, census.default_workers()})
-    lines = []
-    for spec_text in args.families:
-        config = RunConfig(
-            command="bench",
-            family=spec_text,
-            mode=args.mode,
-            seed=args.seed,
-            sample_count=args.sample_count,
-            output=args.output,
-        )
-        spec = parse_family_spec(config.family)
-        mode = _census_mode(config)
-        baseline = None
-        for workers in worker_ladder:
-            start = time.perf_counter()
-            cert = certify(spec, mode, workers=workers)
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            lines.append(
-                f"{spec.label()}  workers={workers}  mode={cert.mode}  "
-                f"lambda={cert.lam}  elapsed_ms={elapsed_ms:.1f}"
-            )
-            if baseline is None:
-                baseline = cert
-            elif cert != baseline:
-                lines.append(f"MISMATCH across worker counts for {spec.label()}")
-                _emit("\n".join(lines) + "\n", args.output)
-                return EXIT_ERROR
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ValueError, so that it exits 1 with one
+    line like any other bad input, not with argparse's usage block and 2."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="egr",
         description="Construct, measure and certify edge-girth-regular graph families.",
     )
@@ -360,22 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     auto.add_argument("--output", default=None)
     auto.set_defaults(func=cmd_automorphism)
 
-    bench = sub.add_parser("bench", help="census wall-times across worker counts")
-    bench.add_argument("families", nargs="+")
-    bench.add_argument(
-        "--mode", choices=("auto", "exhaustive", "base-edge", "sampled"), default="auto"
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--sample-count", type=int, default=256)
-    bench.add_argument("--output", default=None)
-    bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"egr: {err}", file=sys.stderr)

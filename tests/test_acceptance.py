@@ -177,12 +177,13 @@ def test_criterion_08_automorphisms():
     failures = []
     for m, q in ((1, 3), (1, 4), (2, 2), (2, 3)):
         rel = lwenger_relations(m, q)
+        edges = list(adg.edge_iter(rel))
         for i in range(m + 2):
             for x in rel.field.elements():
-                if not verify_automorphism(rel, SigmaMap(i, x, m), mode="exhaustive").ok:
+                if not verify_automorphism(rel, SigmaMap(i, x, m), edges).ok:
                     failures.append(f"sigma({i}, {x}) fails on L{m}({q})")
         base = (adg.vertex_from_id(0, rel), adg.vertex_from_id(q**rel.d, rel))
-        for pt, ln in adg.edge_iter(rel):
+        for pt, ln in edges:
             maps = edge_to_base((pt, ln), m, q)
             if (apply_sequence(maps, pt), apply_sequence(maps, ln)) != base:
                 failures.append(f"edge_to_base misses base edge on L{m}({q})")
@@ -195,7 +196,7 @@ def test_criterion_08_automorphisms():
         c[1] = c[1] + x
         return Vertex(v.side, tuple(c))
 
-    result = verify_automorphism(rel, corrupted, mode="exhaustive")
+    result = verify_automorphism(rel, corrupted, list(adg.edge_iter(rel)))
     if result.ok or result.counterexample is None:
         failures.append("corrupted map was not rejected with a witness")
     else:

@@ -107,36 +107,10 @@ def test_vertex_id_roundtrip_hypothesis(vid):
     assert adg.vertex_id(adg.vertex_from_id(vid, rel), rel) == vid
 
 
-def test_unit_coefficient_relations():
-    # a_2*p_2 + b_2*l_2 = p_1*l_1 with (a, b) = (1, 2) over F_5
-    f5 = Field(5)
-    rel = RelationSet(
-        field=f5,
-        d=2,
-        relations=(lambda pp, ll: pp[0] * ll[0],),
-        units=((f5.element(1), f5.element(2)),),
-    )
-    for vid in range(adg.vertex_count(rel)):
-        v = adg.vertex_from_id(vid, rel)
-        nbs = neighbors(v, rel)
-        assert len(nbs) == 5
-        for w in nbs:
-            pt, ln = (v, w) if v.side is Side.POINT else (w, v)
-            assert adjacent(pt, ln, rel)
-            assert v in neighbors(w, rel)
-
-
 def test_relation_set_validation():
     f3 = Field(3)
     with pytest.raises(ValueError):
         RelationSet(field=f3, d=3, relations=(lambda pp, ll: pp[0],))
-    with pytest.raises(ValueError):
-        RelationSet(
-            field=f3,
-            d=2,
-            relations=(lambda pp, ll: pp[0],),
-            units=(),
-        )
 
 
 def test_build_adjacency_matches_neighbors():
@@ -209,3 +183,11 @@ def test_adjacency_cache_limit():
     rel = relations(FamilySpec(Family.WENGER, 1021, 2))
     with pytest.raises(ValueError):
         adg.build_adjacency(rel)
+    # 17**5 = 1419857 points; the check runs before any vertex is built,
+    # and its message names the point count and the limit
+    f17 = Field(17)
+    rel = RelationSet(field=f17, d=5, relations=(lambda pp, ll: pp[0] * ll[0],) * 4)
+    with pytest.raises(ValueError) as err:
+        adg.build_adjacency(rel)
+    assert "1419857" in str(err.value)
+    assert str(adg.ADJACENCY_CACHE_LIMIT) in str(err.value)

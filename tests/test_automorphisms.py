@@ -6,11 +6,12 @@ from egr.automorphisms import (
     SigmaMap,
     apply_sequence,
     apply_sigma,
+    check_edges,
     edge_to_base,
     lwenger_relations,
     verify_automorphism,
 )
-from egr.census import Lcg
+from egr.census import GraphContext, Lcg, _sample_edges
 from egr.finite_field import Field
 
 EXHAUSTIVE_CASES = [(1, 3), (1, 4), (2, 3), (2, 2)]
@@ -85,9 +86,10 @@ def test_sigma_dimension_check():
 @pytest.mark.parametrize("m,q", EXHAUSTIVE_CASES)
 def test_every_sigma_is_an_automorphism(m, q):
     rel = lwenger_relations(m, q)
+    edges = check_edges(rel, "exhaustive")
     for i in range(m + 2):
         for x in rel.field.elements():
-            result = verify_automorphism(rel, SigmaMap(i, x, m), mode="exhaustive")
+            result = verify_automorphism(rel, SigmaMap(i, x, m), edges)
             assert result.ok
             assert result.edges_checked == q ** (m + 2)
 
@@ -181,7 +183,7 @@ def test_corrupted_map_fails_with_witness():
         c[1] = c[1] + x
         return Vertex(v.side, tuple(c))
 
-    result = verify_automorphism(rel, corrupted, mode="exhaustive")
+    result = verify_automorphism(rel, corrupted, check_edges(rel, "exhaustive"))
     assert not result.ok
     pt, ln = result.counterexample
     assert adjacent(pt, ln, rel)
@@ -190,9 +192,33 @@ def test_corrupted_map_fails_with_witness():
 
 def test_verify_sampled_mode():
     rel = lwenger_relations(2, 4)
-    result = verify_automorphism(rel, SigmaMap(1, rel.field.from_index(2), 2), mode="sampled")
+    edges = check_edges(rel, "sampled")
+    result = verify_automorphism(rel, SigmaMap(1, rel.field.from_index(2), 2), edges)
     assert result.ok
-    assert result.edges_checked == 512
+    assert result.edges_checked == len(edges) == 512
+
+
+def test_check_edges_auto_resolves_by_vertex_count():
+    # L_2(4) has 2 * 4**3 = 128 vertices, L_3(11) has 2 * 11**4 = 29282
+    small = lwenger_relations(2, 4)
+    assert check_edges(small) == list(adg.edge_iter(small))
+    rel = lwenger_relations(3, 11)
+    assert len(check_edges(rel, "auto", seed=2)) == 512
+    with pytest.raises(ValueError, match="mode"):
+        check_edges(rel, "every")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_one_sampler_for_census_and_automorphisms(seed):
+    # the census keeps the distinct draws in first-drawn order; the
+    # automorphism check keeps every draw
+    rel = lwenger_relations(2, 4)
+    drawn = [
+        (adg.vertex_id(pt, rel), adg.vertex_id(ln, rel))
+        for pt, ln in check_edges(rel, "sampled", seed)
+    ]
+    assert len(drawn) == 512
+    assert _sample_edges(GraphContext.from_relations(rel), seed, 512) == list(dict.fromkeys(drawn))
 
 
 def test_per_edge_counts_constant_consequence():

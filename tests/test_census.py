@@ -109,8 +109,8 @@ def test_count_endpoint_symmetric():
         g = census.girth_of_context(ctx)
         for pid in (0, 1, ctx.n_points - 1):
             for lid in ctx.adj[pid][:2]:
-                forward = census.cycles_through_edge_ids(ctx.adj, pid, lid, g)
-                backward = census.cycles_through_edge_ids(ctx.adj, lid, pid, g)
+                forward = census.count_simple_paths(ctx.adj, pid, lid, g - 1)
+                backward = census.count_simple_paths(ctx.adj, lid, pid, g - 1)
                 assert forward == backward
 
 
@@ -209,6 +209,9 @@ def test_non_uniform_graph_raises_with_witnesses():
     assert wa[:2] != wb[:2]
     assert wa[2] != wb[2]
     assert {wa[2], wb[2]} == {0, 4}
+    # the counts are of 4-cycles: the control graph's girth
+    assert err.value.g == 4
+    assert "girth g = 4" in str(err.value)
 
 
 def test_non_uniform_graph_base_edge_rejected():
@@ -254,6 +257,13 @@ def test_auto_mode_policy():
     assert isinstance(resolve(spec(Family.WENGER, 3, 2), 8), Exhaustive)
     assert isinstance(resolve(spec(Family.LIE_M3, 5), 12), Exhaustive)
     assert resolve(spec(Family.LIE_M3, 7), 12) == Sampled(seed=5, count=256)
+
+
+def test_auto_mode_honours_its_sample_count():
+    # lie:M3,q=7 has 7**6 edges and is over budget, so auto samples
+    assert census.Auto(seed=5, count=64).resolve(7**6, 7, 12) == Sampled(5, 64)
+    with pytest.raises(ValueError, match="sample count"):
+        census.Auto(count=0)
 
 
 # ---------------------------------------------------------------------------

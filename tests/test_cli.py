@@ -1,10 +1,11 @@
 import json
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from egr import adg, census, cli, families
+from egr import adg, automorphisms, census, cli, families
 from egr.cli import main
 from egr.finite_field import Field
 
@@ -196,12 +197,22 @@ def test_certify_expect_parse_error(capsys):
 
 def test_certify_nonuniform_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
-        raise census.NonUniformCountsError((0, 9, 0), (1, 9, 4))
+        raise census.NonUniformCountsError((0, 9, 0), (1, 9, 4), 6)
 
     monkeypatch.setattr(cli, "certify", boom)
     code, stdout, _ = run(capsys, "certify", "--family", "wenger:n=1,q=3")
     assert code == cli.EXIT_NONUNIFORM
-    assert json.loads(stdout)["error"] == "non-uniform"
+    payload = json.loads(stdout)
+    assert payload["error"] == "non-uniform"
+    assert payload["g"] == 6
+    assert "girth g = 6" in payload["detail"]
+
+
+def test_auto_mode_takes_the_sample_count():
+    args = cli.build_parser().parse_args(
+        ["certify", "--family", "wenger:n=1,q=3", "--seed", "4", "--sample-count", "64"]
+    )
+    assert cli._census_mode(args) == census.Auto(seed=4, count=64)
 
 
 def test_certify_json_stable_modulo_elapsed(capsys):
@@ -330,12 +341,105 @@ def test_automorphism_rejects_other_families(capsys):
     assert "lwenger" in err
 
 
-def test_bench_invariance(capsys):
-    code, stdout, _ = run(capsys, "bench", "wenger:n=2,q=2", "--mode", "exhaustive")
+def count_calls(monkeypatch, calls: dict, module, name) -> None:
+    """Count calls of module.name in calls[name], wherever an egr module
+    binds it."""
+    original = getattr(module, name)
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "egr" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+@pytest.mark.parametrize(
+    "family, mode, edge_iter_calls, draw_calls, neighbors_calls",
+    [
+        # every edge of L_1(3), listed once: 9 points, one neighbors call each
+        ("lwenger:m=1,q=3", "exhaustive", 1, 0, 9),
+        # 512 draws on L_2(4), one neighbors call each
+        ("lwenger:m=2,q=4", "sampled", 0, 1, 512),
+    ],
+)
+def test_automorphism_verify_builds_one_edge_set(
+    capsys, monkeypatch, family, mode, edge_iter_calls, draw_calls, neighbors_calls
+):
+    calls: dict = {}
+    count_calls(monkeypatch, calls, adg, "edge_iter")
+    count_calls(monkeypatch, calls, census, "sample_draws")
+    count_calls(monkeypatch, calls, adg, "neighbors")
+    code, stdout, _ = run(capsys, "automorphism", "verify", "--family", family, "--mode", mode)
     assert code == 0
-    lines = stdout.strip().splitlines()
-    assert any("workers=1" in line for line in lines)
-    assert all("MISMATCH" not in line for line in lines)
+    payload = json.loads(stdout)
+    assert payload["ok"] is True
+    assert calls == {
+        "edge_iter": edge_iter_calls,
+        "sample_draws": draw_calls,
+        "neighbors": neighbors_calls,
+    }
+
+
+def test_automorphism_reports_a_broken_sigma(capsys, monkeypatch):
+    real = automorphisms.apply_sigma
+
+    def broken(sigma, v):
+        image = real(sigma, v)
+        if sigma.i == 2 and sigma.x.index == 1 and v.side is adg.Side.POINT:
+            c = list(image.coords)
+            c[1] = c[1] + sigma.x  # adds x where sigma(2, x) subtracts it
+            image = adg.Vertex(v.side, tuple(c))
+        return image
+
+    monkeypatch.setattr(automorphisms, "apply_sigma", broken)
+    code, stdout, _ = run(capsys, "automorphism", "verify", "--family", "lwenger:m=1,q=3")
+    assert code == cli.EXIT_ERROR
+    payload = json.loads(stdout)
+    assert payload["ok"] is False
+    assert payload["counterexample"] == {"sigma": {"i": 2, "x": 1}, "point": 0, "line": 9}
+    assert "maps_checked" not in payload
+
+
+def test_automorphism_reports_an_edge_not_sent_to_base(capsys, monkeypatch):
+    monkeypatch.setattr(automorphisms, "edge_to_base", lambda edge, m, q: [])
+    code, stdout, _ = run(capsys, "automorphism", "verify", "--family", "lwenger:m=1,q=3")
+    assert code == cli.EXIT_ERROR
+    # the first edge, P0 L9, is the zero edge itself; the second is not
+    assert json.loads(stdout)["counterexample"] == {"edge_to_base": True, "point": 0, "line": 10}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("certify",), "--family"),
+        (("certify", "--family", "wenger:n=1,q=3", "--seed", "x"), "--seed"),
+        (("bench", "wenger:n=2,q=2"), "'bench'"),
+        ((), "command"),
+    ],
+)
+def test_usage_errors_are_one_line_exit_1(capsys, argv, named):
+    code, stdout, err = run(capsys, *argv)
+    assert code == cli.EXIT_ERROR
+    assert stdout == ""
+    assert err.startswith("egr: ") and err.count("\n") == 1
+    assert named in err
+
+
+def readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("egr ")]
+
+
+def test_readme_cli_commands_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        assert run(capsys, *argv)[0] == cli.EXIT_OK, argv
 
 
 def test_invalid_family_spec(capsys):
