@@ -11,21 +11,19 @@ import json
 import sys
 import time
 
-from egr.census import BaseEdgeOnly, certify, default_workers
+from egr.census import BaseEdgeOnly, certify
 from egr.families import Family, FamilySpec
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--q", type=int, default=5)
-    parser.add_argument("--girth-hint", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
 
     spec = FamilySpec(Family.LIE_M3, args.q)
-    workers = args.workers if args.workers is not None else default_workers()
     start = time.perf_counter()
-    cert = certify(spec, BaseEdgeOnly(), workers=workers, girth_hint=args.girth_hint)
+    cert = certify(spec, BaseEdgeOnly(), workers=args.workers)
     elapsed = time.perf_counter() - start
     q = args.q
     report = {

@@ -21,7 +21,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
 
-    common = [] if args.workers is None else ["--workers", str(args.workers)]
+    common = ["--cutoff", str(args.cutoff)]
+    if args.workers is not None:
+        common += ["--workers", str(args.workers)]
     rc = egr_main(
         ["table", "--family", "wenger", "--index", args.wenger_n, "--q", args.wenger_q]
         + common
@@ -30,17 +32,7 @@ def main(argv=None) -> int:
         return rc
     print()
     return egr_main(
-        [
-            "table",
-            "--family",
-            "lwenger",
-            "--index",
-            args.lwenger_m,
-            "--q",
-            args.lwenger_q,
-            "--cutoff",
-            str(args.cutoff),
-        ]
+        ["table", "--family", "lwenger", "--index", args.lwenger_m, "--q", args.lwenger_q]
         + common
     )
 

@@ -135,6 +135,16 @@ def edge_iter(rel: RelationSet) -> Iterator[tuple[Vertex, Vertex]]:
             yield pt, nb
 
 
+def point_rows(rel: RelationSet) -> Iterator[tuple[int, ...]]:
+    """Each point's line ids in neighbour order, points in id order.
+
+    This is where relations become ids: the adjacency build and both
+    exports read it.
+    """
+    for pid in range(rel.field.q**rel.d):
+        yield tuple([vertex_id(nb, rel) for nb in neighbors(vertex_from_id(pid, rel), rel)])
+
+
 def build_adjacency(rel: RelationSet) -> list[tuple[int, ...]]:
     """Materialized adjacency by canonical id; point rows in neighbour order."""
     q, d = rel.field.q, rel.d
@@ -146,14 +156,10 @@ def build_adjacency(rel: RelationSet) -> list[tuple[int, ...]]:
         )
     line_rows: list[list[int]] = [[] for _ in range(half)]
     adj: list[tuple[int, ...]] = [()] * (2 * half)
-    for pid in range(half):
-        pt = vertex_from_id(pid, rel)
-        row = []
-        for nb in neighbors(pt, rel):
-            lid = vertex_id(nb, rel)
-            row.append(lid)
+    for pid, row in enumerate(point_rows(rel)):
+        adj[pid] = row
+        for lid in row:
             line_rows[lid - half].append(pid)
-        adj[pid] = tuple(row)
     for i, row in enumerate(line_rows):
         adj[half + i] = tuple(row)
     return adj
@@ -161,16 +167,10 @@ def build_adjacency(rel: RelationSet) -> list[tuple[int, ...]]:
 
 def edge_list_lines(rel: RelationSet) -> list[str]:
     """Sorted text export, one edge per line: 'P<point id> L<line id>'."""
-    pairs = []
-    for pt, ln in edge_iter(rel):
-        pairs.append((vertex_id(pt, rel), vertex_id(ln, rel)))
-    pairs.sort()
-    return [f"P{p} L{l}" for p, l in pairs]
+    return [f"P{pid} L{lid}" for pid, row in enumerate(point_rows(rel)) for lid in sorted(row)]
 
 
 def to_graph6(rel: RelationSet) -> str:
     """graph6 export on 2*q**d vertices, points first then lines, in id order."""
-    edges = (
-        (vertex_id(pt, rel), vertex_id(ln, rel)) for pt, ln in edge_iter(rel)
-    )
+    edges = ((pid, lid) for pid, row in enumerate(point_rows(rel)) for lid in row)
     return encode_graph6(vertex_count(rel), edges)

@@ -40,12 +40,17 @@ for a depth-first walk of the g-1 edge paths from u to w.
 That depth-first walk, `count_simple_paths`, stays as the test oracle and
 for cycle lengths other than the girth, where the ball need not be a tree.
 
-Exhaustive runs fan the per-edge counts over a worker pool and merge them
-by edge index, so output is identical for any worker count or scheduling.
+Exhaustive runs fan the per-edge counts over a fork pool of at most one
+process per core and merge them by edge index, so output is identical for
+any worker count or scheduling, and where fork is unavailable the same
+counts run serially.  Handshake: the per-edge counts of an exhaustive run
+sum to g times the number of girth cycles, which `count_cycles_total`
+reads off the certificate.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field as dataclass_field
@@ -243,8 +248,8 @@ class GraphContext:
 
 # -- girth -------------------------------------------------------------------
 
-def girth_of_adjacency(adj, n_points: int, cap: int = _NO_CYCLE) -> int:
-    """Shortest cycle length, or cap if there is no shorter cycle.
+def girth_of_adjacency(adj, n_points: int) -> int:
+    """Shortest cycle length, or 2**30 if the graph has no cycle.
 
     The graph must be bipartite (checked: ValueError naming an odd cycle
     otherwise), and every cycle must pass through a root 0..n_points-1,
@@ -254,7 +259,7 @@ def girth_of_adjacency(adj, n_points: int, cap: int = _NO_CYCLE) -> int:
     the result exact.
     """
     _require_bipartite(adj)
-    best = cap
+    best = _NO_CYCLE
     # root r's BFS marks a vertex at depth d with (r + 1) * span + d, so a
     # mark below the current base means unseen; finished roots stay removed
     span = len(adj) + 2
@@ -325,20 +330,12 @@ def _tree_cycle(parent, x: int, y: int) -> list[int]:
     return up_x[: meet + 1] + up_y[-2::-1]
 
 
-def girth(spec: FamilySpec, hint: int | None = None) -> int:
-    """Exact girth; an even hint caps BFS depth at hint/2 and is validated."""
-    ctx = GraphContext.build(spec)
-    return girth_of_context(ctx, hint)
+def girth(spec: FamilySpec) -> int:
+    """Exact girth of the family instance."""
+    return girth_of_context(GraphContext.build(spec))
 
 
-def girth_of_context(ctx: GraphContext, hint: int | None = None) -> int:
-    if hint is not None:
-        if hint % 2 or hint < 4:
-            raise ValueError(f"girth hint must be an even integer >= 4, got {hint}")
-        g = girth_of_adjacency(ctx.adj, ctx.n_points, cap=hint + 2)
-        if g > hint:
-            raise ValueError(f"no cycle of length <= {hint} found; hint is wrong")
-        return g
+def girth_of_context(ctx: GraphContext) -> int:
     g = girth_of_adjacency(ctx.adj, ctx.n_points)
     if g >= _NO_CYCLE:
         raise ValueError("graph is acyclic; no girth")
@@ -444,7 +441,7 @@ def count_cycles_through_edge(
 
 # -- parallel per-edge census --------------------------------------------------
 
-_WORKER_STATE: tuple | None = None
+_WORKER_STATE: GirthCycleCounter | None = None
 
 
 def _worker_init(adj, g):
@@ -452,36 +449,29 @@ def _worker_init(adj, g):
     _WORKER_STATE = GirthCycleCounter(adj, g)
 
 
-def _worker_count(chunk):
-    counter = _WORKER_STATE
-    return [counter(u, w) for u, w in chunk]
+def _worker_count(edge):
+    return _WORKER_STATE(*edge)
 
 
 def _count_edges(ctx: GraphContext, edges: list[tuple[int, int]], g: int, workers: int):
-    """Girth cycles through each listed edge; order-stable and parallel-safe."""
-    if workers > 1 and len(edges) >= 4:
+    """Girth cycles through each listed edge; order-stable and parallel-safe.
+
+    The pool starts min(workers, cores, chunks) processes and hands each
+    about four chunks; where fork is unavailable the count runs serially.
+    """
+    processes = min(workers, default_workers())
+    if processes > 1 and len(edges) >= 4:
         try:
             mp = multiprocessing.get_context("fork")
         except ValueError:
             mp = None
         if mp is not None:
-            chunks = _split(edges, 4 * workers)
-            with mp.Pool(workers, initializer=_worker_init, initargs=(ctx.adj, g)) as pool:
-                parts = pool.map(_worker_count, chunks)
-            return [c for part in parts for c in part]
+            chunksize = math.ceil(len(edges) / (4 * processes))
+            processes = min(processes, math.ceil(len(edges) / chunksize))
+            with mp.Pool(processes, initializer=_worker_init, initargs=(ctx.adj, g)) as pool:
+                return pool.map(_worker_count, edges, chunksize=chunksize)
     counter = GirthCycleCounter(ctx.adj, g)
     return [counter(u, w) for u, w in edges]
-
-
-def _split(items: list, pieces: int) -> list[list]:
-    pieces = max(1, min(pieces, len(items)))
-    size, extra = divmod(len(items), pieces)
-    out, start = [], 0
-    for i in range(pieces):
-        stop = start + size + (1 if i < extra else 0)
-        out.append(items[start:stop])
-        start = stop
-    return out
 
 
 def default_workers() -> int:
@@ -517,7 +507,6 @@ def certify(
     mode: CensusMode = Exhaustive(),
     *,
     workers: int | None = None,
-    girth_hint: int | None = None,
 ) -> EgrCertificate:
     """Measure (v, k, g, lambda) for the family instance.
 
@@ -531,9 +520,7 @@ def certify(
         GraphContext.build(spec),
         mode,
         workers,
-        girth_hint,
         family=spec.family.value,
-        q=spec.q,
         index=spec.index,
     )
 
@@ -543,18 +530,11 @@ def certify_relations(
     mode: CensusMode = Exhaustive(),
     *,
     workers: int | None = None,
-    girth_hint: int | None = None,
     family: str = "custom",
 ) -> EgrCertificate:
     """certify() for an arbitrary relation set, named families or not."""
     return _certify_context(
-        GraphContext.from_relations(rel),
-        mode,
-        workers,
-        girth_hint,
-        family=family,
-        q=rel.field.q,
-        index=None,
+        GraphContext.from_relations(rel), mode, workers, family=family, index=None
     )
 
 
@@ -562,15 +542,13 @@ def _certify_context(
     ctx: GraphContext,
     mode: CensusMode,
     workers: int | None,
-    girth_hint: int | None,
     *,
     family: str,
-    q: int,
     index: int | None,
 ) -> EgrCertificate:
     if workers is None:
         workers = default_workers()
-    g = girth_of_context(ctx, girth_hint)
+    g = girth_of_context(ctx)
     v = ctx.n_vertices
     k = ctx.field.q
 
@@ -606,7 +584,7 @@ def _certify_context(
             )
     return EgrCertificate(
         family=family,
-        q=q,
+        q=k,
         index=index,
         field=ctx.field,
         v=v,
@@ -619,21 +597,7 @@ def _certify_context(
     )
 
 
-def count_cycles_total(spec: FamilySpec, length: int | None = None, *, workers: int | None = None) -> int:
-    """Total girth cycles, counted independently as (sum over edges) / length."""
-    if workers is None:
-        workers = default_workers()
-    ctx = GraphContext.build(spec)
-    g = girth_of_context(ctx)
-    if length is None:
-        length = g
-    elif length != g:
-        raise ValueError(f"length {length} differs from the measured girth {g}")
-    edges = [(pid, lid) for pid in range(ctx.n_points) for lid in ctx.adj[pid]]
-    counts = _count_edges(ctx, edges, g, workers)
-    edge_sum = sum(counts)
-    if edge_sum % length:
-        raise ValueError(
-            f"edge-count sum {edge_sum} is not divisible by the cycle length {length}"
-        )
-    return edge_sum // length
+def count_cycles_total(spec: FamilySpec, *, workers: int | None = None) -> int:
+    """Total girth cycles of an edge-girth-regular instance, from the
+    exhaustive certificate (whose per-edge counts pass the handshake check)."""
+    return certify(spec, Exhaustive(), workers=workers).total_girth_cycles

@@ -18,6 +18,7 @@ from . import adg, census, predictions
 from .automorphisms import lwenger_relations, verify_lwenger
 from .census import Auto, BaseEdgeOnly, Exhaustive, NonUniformCountsError, Sampled, certify
 from .families import Family, FamilySpec, parse_family_spec, relations
+from .finite_field import Field
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -118,7 +119,7 @@ def cmd_predict(args) -> int:
         "family": spec.family.value,
         "q": spec.q,
         "index": spec.index,
-        "field": relations(spec).field.to_json(),
+        "field": Field.of_order(spec.q).to_json(),
         "girth": g,
         "lambda": lam,
     }

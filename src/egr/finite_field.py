@@ -103,36 +103,6 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _pinvmod(a: list[int], m: list[int], p: int) -> list[int]:
-    """Inverse of a modulo m via extended Euclid; a must be a unit."""
-    r0, r1 = m[:], _pmod(a, m, p)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("not a unit modulo the field polynomial")
-    c = pow(r0[0], -1, p)
-    return _pmod([(x * c) % p for x in s0], m, p)
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = _trim(a[:])
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], a
-    quo = [0] * (len(a) - db)
-    inv_lead = pow(b[-1], -1, p)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = (a[i + db] * inv_lead) % p
-        quo[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    return _trim(quo), _trim(a)
-
-
 def _ppow_mod(base: list[int], k: int, m: list[int], p: int) -> list[int]:
     out, b = [1], _pmod(base, m, p)
     while k:
@@ -334,15 +304,10 @@ class FieldElement:
         return out
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse, by extended Euclid on polynomials."""
+        """Multiplicative inverse, x**(q - 2) by Fermat's little theorem."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero field element")
-        f = self.field
-        if f.e == 1:
-            return FieldElement(f, (pow(self.coeffs[0], -1, f.p),))
-        inv = _pinvmod(_trim(list(self.coeffs)), list(f.modulus), f.p)
-        inv += [0] * (f.e - len(inv))
-        return FieldElement(f, tuple(inv))
+        return self ** (self.field.q - 2)
 
     def frobenius(self, i: int = 1) -> "FieldElement":
         """The image under x -> x**(p**i); i = 0 is the identity."""

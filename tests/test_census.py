@@ -59,16 +59,6 @@ def test_girth_known_values(fam, q, idx, expected):
     assert girth(spec(fam, q, idx)) == expected
 
 
-def test_girth_hint_validated():
-    assert girth(spec(Family.WENGER, 3, 2), hint=8) == 8
-    with pytest.raises(ValueError):
-        girth(spec(Family.WENGER, 3, 2), hint=6)
-    with pytest.raises(ValueError):
-        girth(spec(Family.WENGER, 3, 2), hint=7)
-    # a wrong-but-large hint still finds the true girth
-    assert girth(spec(Family.WENGER, 3, 1), hint=8) == 6
-
-
 # ---------------------------------------------------------------------------
 # per-edge counts
 
@@ -158,9 +148,7 @@ def test_certify_handshake_identity():
 def test_count_cycles_total_examples():
     assert count_cycles_total(spec(Family.WENGER, 3, 2)) == 81
     assert count_cycles_total(spec(Family.WENGER, 5, 1)) == 1000
-    assert count_cycles_total(spec(Family.WENGER, 2, 1), length=8) == 1
-    with pytest.raises(ValueError):
-        count_cycles_total(spec(Family.WENGER, 3, 1), length=8)
+    assert count_cycles_total(spec(Family.WENGER, 2, 1)) == 1
 
 
 @pytest.mark.parametrize("n,q", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 3)])
@@ -195,11 +183,77 @@ def test_parallel_census_deterministic():
     assert certs[0] == certs[1] == certs[2]
 
 
-def test_certify_accepts_girth_hint():
+class InlinePoolContext:
+    """A stand-in for multiprocessing's fork context: its Pool records the
+    process count it is asked for and maps in this process, starting none."""
+
+    def __init__(self):
+        self.processes = []
+
+    def Pool(self, processes, initializer, initargs):
+        self.processes.append(processes)
+        initializer(*initargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    context = InlinePoolContext()
+    monkeypatch.setattr(census, "_WORKER_STATE", None)
+    monkeypatch.setattr(census.multiprocessing, "get_context", lambda method: context)
+    return context
+
+
+@pytest.mark.parametrize(
+    "workers, cores, processes",
+    [(5000, 4, [4]), (3, 4, [3]), (5000, 1, []), (1, 4, [])],
+)
+def test_pool_size_is_capped_by_cores(monkeypatch, inline_pool, workers, cores, processes):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: cores)
     s = spec(Family.WENGER, 3, 2)
-    assert certify(s, Exhaustive(), workers=1, girth_hint=8).parameters() == (54, 3, 8, 8)
-    with pytest.raises(ValueError):
-        certify(s, Exhaustive(), workers=1, girth_hint=6)
+    assert certify(s, Exhaustive(), workers=workers) == certify(s, Exhaustive(), workers=1)
+    assert inline_pool.processes == processes
+
+
+def test_pool_size_is_capped_by_chunks(monkeypatch, inline_pool):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
+    ctx = census.GraphContext.build(spec(Family.WENGER, 3, 2))
+    edges = [(pid, ctx.adj[pid][0]) for pid in range(5)]
+    assert census._count_edges(ctx, edges, 8, workers=8) == [8] * 5
+    assert inline_pool.processes == [5]
+
+
+def test_certify_json_keeps_the_requested_workers(capsys, monkeypatch, inline_pool):
+    from egr.cli import main
+
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    argv = ["certify", "--family", "wenger:n=2,q=3", "--mode", "exhaustive", "--workers", "5000"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["workers"] == 5000
+    assert inline_pool.processes == [2]
+
+
+def test_census_without_fork_runs_serially(monkeypatch):
+    asked = []
+
+    def no_fork(method=None):
+        asked.append(method)
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(census.multiprocessing, "get_context", no_fork)
+    s = spec(Family.WENGER, 3, 2)
+    assert certify(s, Exhaustive(), workers=2) == certify(s, Exhaustive(), workers=1)
+    assert asked == ["fork"]
 
 
 def test_non_uniform_graph_raises_with_witnesses():

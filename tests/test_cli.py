@@ -94,8 +94,8 @@ def test_certify_auto_builds_one_graph(capsys, monkeypatch):
     assert calls == {"build_adjacency": 1, "girth_of_adjacency": 1}
 
 
-def test_certify_builds_one_relation_set(capsys, monkeypatch):
-    calls = {"relations": 0, "Field.__init__": 0}
+def count_relation_sets(monkeypatch, calls):
+    """Count families.relations and Field.__init__ calls into `calls`."""
     original_relations = families.relations
     original_init = Field.__init__
 
@@ -112,6 +112,11 @@ def test_certify_builds_one_relation_set(capsys, monkeypatch):
         if name.split(".")[0] == "egr" and getattr(module, "relations", None) is original_relations:
             monkeypatch.setattr(module, "relations", relations)
     monkeypatch.setattr(Field, "__init__", init)
+
+
+def test_certify_builds_one_relation_set(capsys, monkeypatch):
+    calls = {"relations": 0, "Field.__init__": 0}
+    count_relation_sets(monkeypatch, calls)
     code, stdout, _ = run(capsys, "certify", "--family", "wenger:n=2,q=5", "--workers", "1")
     assert code == 0
     assert json.loads(stdout)["field"] == {"p": 5, "e": 1, "modulus": [0, 1]}
@@ -255,6 +260,15 @@ def test_predict_json(capsys):
     assert payload["extremal_bipartite"] == 18
     assert payload["sandwich"] == [18, 18]
     assert payload["turan"] == 18
+
+
+def test_predict_builds_no_relation_set(capsys, monkeypatch):
+    calls = {"relations": 0, "Field.__init__": 0}
+    count_relation_sets(monkeypatch, calls)
+    code, stdout, _ = run(capsys, "predict", "--family", "lwenger:m=2,q=8")
+    assert code == 0
+    assert json.loads(stdout)["field"] == {"p": 2, "e": 3, "modulus": [1, 0, 1, 1]}
+    assert calls == {"relations": 0, "Field.__init__": 1}
 
 
 def test_predict_sandwich_only_at_its_lambda(capsys):

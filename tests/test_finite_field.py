@@ -118,6 +118,11 @@ def test_inverse_examples():
     assert a.inverse() == f4.from_index(3)
     with pytest.raises(ZeroDivisionError):
         f4.zero().inverse()
+    for q in (64, 125, 243, 256):
+        f = Field.of_order(q)
+        for x in list(f.elements())[1:]:
+            assert x * x.inverse() == f.one()
+            assert x.inverse().inverse() == x
 
 
 def test_pow_examples():

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from egr.census import GraphContext, girth_of_adjacency, girth_of_context
+from egr.census import GraphContext, girth_of_adjacency
 from egr.families import parse_family_spec
 from test_girth_counter import EVERY_EDGE_SPECS, build_relations, relation_descriptions
 
 NO_CYCLE = 1 << 30
 
 
-def unpruned_girth(adj, roots, cap=NO_CYCLE):
-    """Shortest cycle length, or cap if none is shorter.
+def unpruned_girth(adj, roots):
+    """Shortest cycle length, or NO_CYCLE if there is no cycle.
 
     The BFS from every root of Itai and Rodeh (SIAM J. Comput. 1978), with
     neither of the census's prunes: every root sees the whole graph, and
@@ -26,7 +26,7 @@ def unpruned_girth(adj, roots, cap=NO_CYCLE):
     exactly.
     """
     n = len(adj)
-    best = cap
+    best = NO_CYCLE
     dist = [0] * n
     parent = [0] * n
     stamp = [0] * n
@@ -71,10 +71,9 @@ def context(text):
 @pytest.mark.parametrize("text", EVERY_EDGE_SPECS)
 def test_pruned_equals_unpruned_on_families(text):
     ctx = context(text)
-    g = girth_of_adjacency(ctx.adj, ctx.n_points)
-    assert g == unpruned_girth(ctx.adj, range(ctx.n_points))
-    for cap in (4, 6, 8):
-        assert girth_of_adjacency(ctx.adj, ctx.n_points, cap) == min(g, cap)
+    assert girth_of_adjacency(ctx.adj, ctx.n_points) == unpruned_girth(
+        ctx.adj, range(ctx.n_points)
+    )
 
 
 def test_pruned_equals_unpruned_on_lie_m3_q5():
@@ -140,24 +139,13 @@ def bipartite_graphs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(bipartite_graphs())
-def test_pruned_equals_networkx_under_every_cap(drawn):
+def test_pruned_equals_networkx(drawn):
     adj, n_points, graph = drawn
     g = nx.girth(graph)  # inf for a forest
-    for cap in (4, 6, 8, NO_CYCLE):
-        assert girth_of_adjacency(adj, n_points, cap) == min(g, cap)
     assert girth_of_adjacency(adj, n_points) == min(g, NO_CYCLE)
 
 
-# -- hints and odd cycles --------------------------------------------------------
-
-def test_girth_of_context_hints():
-    ctx = context("wenger:n=2,q=3")  # girth 8
-    assert girth_of_context(ctx) == 8
-    assert girth_of_context(ctx, hint=8) == 8
-    assert girth_of_context(ctx, hint=12) == 8
-    with pytest.raises(ValueError, match="hint is wrong"):
-        girth_of_context(ctx, hint=6)
-
+# -- odd cycles ------------------------------------------------------------------
 
 def assert_odd_cycle_in(message, adj):
     cycle = [int(x) for x in message.split("[")[1].rstrip("]").split(",")]
@@ -175,5 +163,5 @@ def test_odd_cycle_is_rejected_with_a_witness():
     # a triangle hanging off a square, reached from the square's side
     adj = [(1, 3), (0, 2), (1, 3, 4, 5), (0, 2), (2, 5), (2, 4)]
     with pytest.raises(ValueError, match="not bipartite") as err:
-        girth_of_adjacency(adj, 6, cap=4)
+        girth_of_adjacency(adj, 6)
     assert_odd_cycle_in(str(err.value), adj)
