@@ -139,10 +139,26 @@ def point_rows(rel: RelationSet) -> Iterator[tuple[int, ...]]:
     """Each point's line ids in neighbour order, points in id order.
 
     This is where relations become ids: the adjacency build and both
-    exports read it.
+    exports read it.  It solves the relations as `neighbors` does, but
+    reads each line id straight off the solved coordinates' indices.
     """
-    for pid in range(rel.field.q**rel.d):
-        yield tuple([vertex_id(nb, rel) for nb in neighbors(vertex_from_id(pid, rel), rel)])
+    q, d = rel.field.q, rel.d
+    half = q**d
+    elems = list(rel.field.elements())
+    steps = [(j, f, q ** (j + 1)) for j, f in enumerate(rel.relations)]
+    for pid in range(half):
+        known = tuple(elems[pid // q**i % q] for i in range(d))
+        prefixes = [known[: j + 1] for j in range(d - 1)]
+        row = []
+        for x in elems:
+            solved = (x,)
+            lid = half + x.index
+            for j, f, weight in steps:
+                c = f(prefixes[j], solved) - known[j + 1]
+                solved += (c,)
+                lid += c.index * weight
+            row.append(lid)
+        yield tuple(row)
 
 
 def build_adjacency(rel: RelationSet) -> list[tuple[int, ...]]:

@@ -148,10 +148,10 @@ def relations(spec: FamilySpec, field: Field | None = None) -> RelationSet:
                 "lie-m3 in characteristic 2 or 3: the girth-12 regime does not apply",
                 stacklevel=2,
             )
-        two = field.one() + field.one()
 
-        def f5(pp, ll, _two=two):
-            return pp[1] * ll[2] - _two * pp[2] * ll[1] + pp[3] * ll[0]
+        def f5(pp, ll):
+            t = pp[2] * ll[1]
+            return pp[1] * ll[2] - t - t + pp[3] * ll[0]
 
         rels = tuple(_wenger_relation(j) for j in range(3)) + (f5,)
     return RelationSet(field=field, d=d, relations=rels)

@@ -1,14 +1,27 @@
-"""Exact arithmetic in GF(p**e) on a polynomial basis.
+"""Exact arithmetic in GF(p**e), on element indices over log/Zech tables.
 
-Elements are length-e vectors of residues mod p (constant term first),
-reduced modulo a fixed monic irreducible polynomial.  The modulus is the
-lexicographically smallest monic irreducible of degree e over Z/pZ,
-comparing coefficients from the constant term up, so a field -- and every
-element index, vertex id and export built on it -- is byte-reproducible
-across runs and platforms.
+An element is its index i in [0, q): the base-p digits of i, least
+significant first, are its coefficients on the polynomial basis modulo a
+fixed monic irreducible polynomial.  The modulus is the lexicographically
+smallest monic irreducible of degree e over Z/pZ, comparing coefficients
+from the constant term up, so a field -- and every element index, vertex
+id and export built on it -- is byte-reproducible across runs and
+platforms.  Index 0 is zero, index 1 is one.
 
-The element at index i carries the base-p digits of i as coefficients,
-least significant digit first; index 0 is zero, index 1 is one.
+Arithmetic is table lookups on indices.  On first use a field builds, in
+O(q) space (no q-by-q table):
+
+  exp    exp[k] is the index of g**k for a primitive element g; the table
+         is stored twice over, so a sum of two logs needs no reduction;
+  log    the inverse of exp on the nonzero indices;
+  zech   zech[n] = log(1 + g**n), or -1 where 1 + g**n = 0 (Zech's
+         logarithm, Huber 1990), also stored twice over; with log(-1) it
+         gives addition, subtraction and negation;
+  elems  one interned FieldElement per index, so no operation allocates.
+
+Polynomial arithmetic over Z/pZ appears only where the field is pinned
+down: the modulus search, and the primitive element and exp table built
+from it.  `Field(...)`, `modulus` and `to_json()` build no table.
 """
 
 from __future__ import annotations
@@ -48,6 +61,19 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     if r != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, e
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +140,19 @@ def _ppow_mod(base: list[int], k: int, m: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int, e: int) -> bool:
-    # degree <= 3: reducible iff there is a root; in general: no common factor
-    # with x**(p**i) - x for any i <= e/2
+    # a root means a linear factor, and below degree 4 only a root can; in
+    # general: no common factor with x**(p**i) - x for any i <= e/2.  The
+    # cheap root scan comes first, since most candidates fail it.
     f = list(coeffs)
     if e == 1:
         return True
+    for r in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * r + c) % p
+        if acc == 0:
+            return False
     if e <= 3:
-        for r in range(p):
-            acc = 0
-            for c in reversed(f):
-                acc = (acc * r + c) % p
-            if acc == 0:
-                return False
         return True
     x = [0, 1]
     r = x
@@ -146,12 +173,65 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
+def _digits(i: int, p: int) -> list[int]:
+    out = []
+    while i:
+        out.append(i % p)
+        i //= p
+    return out
+
+
+def _from_digits(coeffs: list[int], p: int) -> int:
+    n = 0
+    for c in reversed(coeffs):
+        n = n * p + c
+    return n
+
+
+class _Tables:
+    """The log, exp and Zech tables of one field; see the module docstring."""
+
+    __slots__ = ("exp", "log", "zech", "minus_one", "elems")
+
+    def __init__(self, field: "Field"):
+        p, n = field.p, field.q - 1
+        m = list(field.modulus)
+        # the least index whose order is q - 1: g**(n/r) != 1 for each prime r | n
+        cofactors = [n // r for r in _prime_factors(n)]
+        for i in range(1, field.q):
+            g = _digits(i, p)
+            if all(_ppow_mod(g, c, m, p) != [1] for c in cofactors):
+                break
+        exp, power = [0] * n, [1]
+        for k in range(n):
+            exp[k] = _from_digits(power, p)
+            power = _pmod(_pmul(power, g, p), m, p)
+        log = [-1] * field.q
+        for k, i in enumerate(exp):
+            log[i] = k
+        # 1 + g**k adds one to the constant digit of g**k's index
+        zech = [0] * n
+        for k, i in enumerate(exp):
+            low = i % p
+            j = i - low + (low + 1) % p
+            zech[k] = log[j] if j else -1
+        self.exp = exp + exp
+        self.log = log
+        self.zech = zech + zech
+        self.minus_one = log[p - 1]
+        self.elems = [FieldElement(field, i) for i in range(field.q)]
+
+
 # ---------------------------------------------------------------------------
 
 class Field:
-    """The finite field GF(p**e) with a fixed, deterministic modulus."""
+    """The finite field GF(p**e) with a fixed, deterministic modulus.
 
-    __slots__ = ("p", "e", "q", "modulus")
+    The arithmetic tables are built on first use; `_tables` stays unset
+    until an element is asked for.
+    """
+
+    __slots__ = ("p", "e", "q", "modulus", "_tables")
 
     def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
@@ -170,6 +250,15 @@ class Field:
     def of_order(cls, q: int) -> "Field":
         return cls(*factor_prime_power(q))
 
+    @property
+    def tables(self) -> _Tables:
+        """The arithmetic tables, built on the first call."""
+        try:
+            return self._tables
+        except AttributeError:
+            self._tables = _Tables(self)
+            return self._tables
+
     def __eq__(self, other):
         return (
             isinstance(other, Field)
@@ -185,152 +274,147 @@ class Field:
         return f"Field(p={self.p}, e={self.e})"
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.e)
+        return self.tables.elems[0]
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.e - 1))
+        return self.tables.elems[1]
 
     def element(self, value) -> "FieldElement":
         """Build an element from an int (reduced mod p) or a coefficient vector."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise ValueError("element belongs to a different field")
-            return value
+            return self.tables.elems[value.index]
         if isinstance(value, int):
-            return FieldElement(self, (value % self.p,) + (0,) * (self.e - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
+            return self.tables.elems[value % self.p]
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.e:
             raise ValueError(f"expected {self.e} coefficients, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
+        return self.tables.elems[_from_digits(coeffs, self.p)]
 
     def from_index(self, i: int) -> "FieldElement":
         """Element whose coefficients are the base-p digits of i, low digit first."""
         if not 0 <= i < self.q:
             raise ValueError(f"index {i} out of range [0, {self.q})")
-        coeffs = []
-        for _ in range(self.e):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return self.tables.elems[i]
 
     def elements(self):
         """All q elements in canonical index order."""
-        for i in range(self.q):
-            yield self.from_index(i)
+        return iter(self.tables.elems)
 
     def to_json(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
 
 class FieldElement:
-    """Immutable element of a Field; arithmetic via the usual operators."""
+    """Immutable element of a Field; arithmetic via the usual operators.
 
-    __slots__ = ("field", "coeffs")
+    Elements come from their Field (`from_index`, `elements`, ...), which
+    hands out one interned instance per index; every operation returns one
+    of those instances.
+    """
 
-    def __init__(self, field: Field, coeffs: tuple[int, ...]):
+    __slots__ = ("field", "index")
+
+    def __init__(self, field: Field, index: int):
         self.field = field
-        self.coeffs = coeffs
+        self.index = index
 
     @property
-    def index(self) -> int:
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.field.p + c
-        return n
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients on the polynomial basis, constant term first."""
+        p = self.field.p
+        return tuple((self.index // p**k) % p for k in range(self.field.e))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.index
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.index)
 
-    def _check(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement):
+    def _tables_with(self, other) -> _Tables:
+        """The tables to combine self with other, after checking other."""
+        f = self.field
+        if other.__class__ is not FieldElement:
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field is not self.field and other.field != self.field:
+        if other.field is not f and other.field != f:
             raise ValueError("operands belong to different fields")
-        return other
+        return f._tables
 
     def __add__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        t = self._tables_with(other)
+        a, b = self.index, other.index
+        if not b:
+            return self
+        if not a:
+            return t.elems[b]
+        la = t.log[a]
+        z = t.zech[t.log[b] - la]
+        return t.elems[t.exp[la + z]] if z >= 0 else t.elems[0]
 
     def __sub__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        t = self._tables_with(other)
+        a, b = self.index, other.index
+        if not b:
+            return self
+        lb = t.log[b] + t.minus_one
+        if not a:
+            return t.elems[t.exp[lb]]
+        la = t.log[a]
+        z = t.zech[lb - la]
+        return t.elems[t.exp[la + z]] if z >= 0 else t.elems[0]
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        if not self.index:
+            return self
+        t = self.field._tables
+        return t.elems[t.exp[t.log[self.index] + t.minus_one]]
 
     def __mul__(self, other):
-        other = self._check(other)
-        f = self.field
-        p = f.p
-        if f.e == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        e = f.e
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = f.modulus
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                base = i - e
-                for j in range(e):
-                    prod[base + j] = (prod[base + j] - c * mod[j]) % p
-        return FieldElement(f, tuple(prod[:e]))
+        t = self._tables_with(other)
+        a, b = self.index, other.index
+        if not a or not b:
+            return t.elems[0]
+        return t.elems[t.exp[t.log[a] + t.log[b]]]
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative exponent; use inverse()")
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        t = self.field._tables
+        if not self.index:
+            return t.elems[0 if k else 1]
+        return t.elems[t.exp[t.log[self.index] * k % (self.field.q - 1)]]
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse, x**(q - 2) by Fermat's little theorem."""
-        if self.is_zero():
+        """Multiplicative inverse: g**(q - 1 - log x)."""
+        if not self.index:
             raise ZeroDivisionError("inversion of zero field element")
-        return self ** (self.field.q - 2)
+        t = self.field._tables
+        return t.elems[t.exp[self.field.q - 1 - t.log[self.index]]]
 
     def frobenius(self, i: int = 1) -> "FieldElement":
         """The image under x -> x**(p**i); i = 0 is the identity."""
         if i < 0:
             raise ValueError("frobenius power must be non-negative")
-        out = self
-        for _ in range(i % self.field.e):
-            out = out ** self.field.p
-        return out
+        if not self.index:
+            return self
+        f = self.field
+        t = f._tables
+        return t.elems[t.exp[t.log[self.index] * f.p ** (i % f.e) % (f.q - 1)]]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldElement)
-            and self.coeffs == other.coeffs
+            and self.index == other.index
             and self.field == other.field
         )
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.e))
+        return hash((self.index, self.field.p, self.field.e))
 
     def __repr__(self):
         if self.field.e == 1:
-            return f"{self.coeffs[0]}"
+            return f"{self.index}"
         terms = []
         for k, c in enumerate(self.coeffs):
             if c == 0:

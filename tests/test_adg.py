@@ -124,6 +124,17 @@ def test_build_adjacency_matches_neighbors():
         # point rows keep the canonical neighbour order
         pt = adg.vertex_from_id(0, rel)
         assert list(built[0]) == [adg.vertex_id(w, rel) for w in neighbors(pt, rel)]
+    # extension fields, p = 2 and odd p, and lie-m3: every point row, in slot order
+    for spec in [
+        FamilySpec(Family.LINEARIZED, 8, 2),
+        FamilySpec(Family.WENGER_ALT, 9, 2),
+        FamilySpec(Family.LIE_M3, 5),
+    ]:
+        rel = relations(spec)
+        built = adg.build_adjacency(rel)
+        for pid in range(rel.field.q**rel.d):
+            pt = adg.vertex_from_id(pid, rel)
+            assert built[pid] == tuple(adg.vertex_id(w, rel) for w in neighbors(pt, rel))
 
 
 def test_edge_list_golden_w1_q2():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -25,6 +26,24 @@ def test_generate_edge_list_golden(capsys, tmp_path):
     expected = "P0 L4\nP0 L5\nP1 L4\nP1 L7\nP2 L6\nP2 L7\nP3 L5\nP3 L6\n"
     assert stdout == expected
     assert out_file.read_text(encoding="ascii") == expected
+
+
+@pytest.mark.parametrize(
+    "family, fmt, digest",
+    [
+        ("wenger:n=2,q=16", "edges", "9c4ee3b02dde860db58f5ada69a7e7cd70c197794f9b7d4e96de95459e4d1792"),
+        ("lwenger:m=3,q=8", "edges", "58c7ea8ed3baac3761221b3bd3b65322daa8a49ca894835a2d94b88cfac0547b"),
+        ("lie:M3,q=5", "edges", "c8bda23d37f328179df89b91fbc60677ef9c91fd228e345cdc0605119cc237f3"),
+        ("wenger:n=2,q=11", "g6", "fe4f02bb30e0484b9a8f7a7fb7f07f4f50ec482d542808fd11f10d55de27afbe"),
+        ("lwenger:m=2,q=9", "g6", "22e06830a96fb60b123f88047a5dffd20aac2f04e506fc10e1f39c708389531e"),
+    ],
+)
+def test_generate_golden_digests(capsys, family, fmt, digest):
+    # pinned from the polynomial-basis implementation that preceded the
+    # log/Zech tables: p = 2 and odd-p extension fields, edge list and graph6
+    code, stdout, _ = run(capsys, "generate", "--family", family, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == digest
 
 
 def test_generate_line_counts(capsys):

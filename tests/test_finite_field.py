@@ -67,6 +67,71 @@ def _poly_rem(a, b, p):
 
 
 # ---------------------------------------------------------------------------
+# schoolbook oracle: an element is the coefficient list of its index's
+# base-p digits, and products are reduced modulo Field.modulus by long
+# division; nothing here touches the field's log, exp or Zech tables
+
+def _model_digits(i, p, e):
+    return [i // p**k % p for k in range(e)]
+
+
+def _model_index(coeffs, p):
+    return sum(c * p**k for k, c in enumerate(coeffs))
+
+
+def _model_mul(a, b, modulus, p):
+    e = len(modulus) - 1
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for top in range(2 * e - 2, e - 1, -1):
+        c = prod[top]
+        for j, mj in enumerate(modulus):
+            prod[top - e + j] = (prod[top - e + j] - c * mj) % p
+    return prod[:e]
+
+
+def _model_pow(a, k, modulus, p):
+    out = [1] + [0] * (len(a) - 1)
+    for _ in range(k):
+        out = _model_mul(out, a, modulus, p)
+    return out
+
+
+def test_arithmetic_matches_schoolbook_oracle():
+    for q in SMALL_PRIME_POWERS:
+        f = Field.of_order(q)
+        p, e, modulus = f.p, f.e, f.modulus
+        elems = list(f.elements())
+        digits = [_model_digits(i, p, e) for i in range(q)]
+        for i, x in enumerate(elems):
+            a = digits[i]
+            assert x.index == i and list(x.coeffs) == a
+            assert -x is elems[_model_index([-c % p for c in a], p)]
+            for k in range(e + 1):
+                assert x.frobenius(k) is elems[_model_index(_model_pow(a, p**k, modulus, p), p)]
+            if i:
+                product = _model_mul(a, digits[x.inverse().index], modulus, p)
+                assert product == [1] + [0] * (e - 1)
+            for j, y in enumerate(elems):
+                b = digits[j]
+                assert x * y is elems[_model_index(_model_mul(a, b, modulus, p), p)]
+                assert x + y is elems[_model_index([(s + t) % p for s, t in zip(a, b)], p)]
+                assert x - y is elems[_model_index([(s - t) % p for s, t in zip(a, b)], p)]
+
+
+def test_tables_are_built_on_first_use():
+    big = Field(2, 20)
+    assert big.to_json()["modulus"][-1] == 1
+    assert not hasattr(big, "_tables")
+    f = Field(3, 2)
+    assert not hasattr(f, "_tables")
+    assert f.one() is f.from_index(1)
+    assert len(f.tables.elems) == 9
+
+
+# ---------------------------------------------------------------------------
 
 def test_construction_errors():
     with pytest.raises(ValueError):

@@ -17,11 +17,20 @@ This is linear algebra on the adjacency lists, so it shares no code with
 the census's BFS, its meet-in-the-middle counter or the depth-first oracle.
 """
 
+from collections import Counter
+
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from egr.census import Exhaustive, GraphContext, certify
 from egr.families import parse_family_spec
-from test_girth_counter import EVERY_EDGE_SPECS
+from test_girth_counter import (
+    EVERY_EDGE_SPECS,
+    build_relations,
+    census_outcome,
+    relation_descriptions,
+)
 
 
 def nonbacktracking_census(adj, n_points):
@@ -96,6 +105,39 @@ def test_census_equals_nonbacktracking_walks_on_every_edge(text):
     ctx = GraphContext.build(spec)
     g, lam, closed = nonbacktracking_census(ctx.adj, ctx.n_points)
     cert = certify(spec, Exhaustive(), workers=1)
+    assert cert.g == g
+    assert cert.per_edge_counts == lam
+    assert cert.total_girth_cycles * g == closed
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(relation_descriptions())
+@example((5, 2, [[(1, 0, 2, 0, 1)]]))  # p_1**2 * l_1: not edge-girth-regular
+@example((3, 2, [[(1, 0, 1, 0, 1)]]))  # the Wenger graph W_1(3)
+@example((4, 3, [[(1, 0, 1, 0, 1)], [(1, 0, 1, 1, 1)]]))  # W_2(4), over GF(4)
+def test_census_equals_nonbacktracking_walks_on_random_relation_sets(description):
+    """The relations are FieldElement lambdas, so this also runs the field
+    tables under arbitrary polynomial relations.  Over GF(2) and GF(3),
+    networkx's girth and cycle enumeration check the walk counts too."""
+    rel = build_relations(description)
+    outcome = census_outcome(rel)
+    if outcome[0] == "error":
+        return
+    ctx = GraphContext.from_relations(rel)
+    g, lam, closed = nonbacktracking_census(ctx.adj, ctx.n_points)
+    if rel.field.q <= 3:
+        graph = nx.Graph((u, w) for u in range(ctx.n_points) for w in ctx.adj[u])
+        assert nx.girth(graph) == g
+        through = Counter()
+        for cycle in nx.simple_cycles(graph, length_bound=g):
+            if len(cycle) == g:
+                through.update(tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1]))
+        assert {edge: through[edge] for edge in lam} == lam
+    if outcome[0] == "non-uniform":
+        _, witness_a, witness_b = outcome
+        assert lam[witness_a[:2]] == witness_a[2] != witness_b[2] == lam[witness_b[:2]]
+        return
+    cert = outcome[1]
     assert cert.g == g
     assert cert.per_edge_counts == lam
     assert cert.total_girth_cycles * g == closed
