@@ -56,13 +56,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _parse_expect(text: str) -> tuple[int, int]:
-    fields = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        fields[key.strip()] = int(value)
     try:
+        pairs = (part.partition("=") for part in text.split(","))
+        fields = {key.strip(): int(value) for key, _, value in pairs}
         return fields["g"], fields["lambda"]
-    except KeyError:
+    except (KeyError, ValueError):
         raise ValueError(f"--expect needs g=<int>,lambda=<int>, got {text!r}") from None
 
 

@@ -68,43 +68,57 @@ class FamilySpec:
         return f"lie:{f.value[-2:].upper()},q={self.q}"
 
 
+# spec head -> (family, the key of its index); lie's family comes from its tag
+_SPEC_HEADS = {
+    "wenger": (Family.WENGER, "n"),
+    "wenger-alt": (Family.WENGER_ALT, "n"),
+    "lwenger": (Family.LINEARIZED, "m"),
+    "lie": (None, None),
+}
+
+
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse strings like 'wenger:n=2,q=3', 'lwenger:m=1,q=4', 'lie:M3,q=5'."""
+    """Parse strings like 'wenger:n=2,q=3', 'lwenger:m=1,q=4', 'lie:M3,q=5'.
+
+    Each key may appear once, only q and the family's own index key are
+    accepted, and every value must be an integer."""
     head, sep, rest = text.strip().partition(":")
     if not sep:
         raise ValueError(f"family spec needs a ':', got {text!r}")
     head = head.lower()
-    parts = [s.strip() for s in rest.split(",") if s.strip()]
-    params: dict[str, str] = {}
+    if head not in _SPEC_HEADS:
+        raise ValueError(f"unknown family {head!r}")
+    family, index_key = _SPEC_HEADS[head]
+    params: dict[str, int] = {}
     lie_tag = None
-    for part in parts:
-        if "=" in part:
-            k, v = part.split("=", 1)
-            params[k.strip().lower()] = v.strip()
-        elif lie_tag is None:
+    for part in (s.strip() for s in rest.split(",")):
+        if not part:
+            continue
+        key, eq, value = part.partition("=")
+        key = key.strip().lower()
+        if not eq:
+            if head != "lie" or lie_tag is not None:
+                raise ValueError(f"unrecognized parameter {part!r} in {text!r}")
             lie_tag = part.lower()
+        elif key not in ("q", index_key):
+            raise ValueError(f"unknown key {key!r} in family spec {text!r}")
+        elif key in params:
+            raise ValueError(f"repeated key {key!r} in family spec {text!r}")
         else:
-            raise ValueError(f"unrecognized parameter {part!r} in {text!r}")
-    if "q" not in params:
-        raise ValueError(f"family spec {text!r} is missing q")
-    q = int(params["q"])
-
-    def need(key: str) -> int:
-        if key not in params:
+            try:
+                params[key] = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"{key} must be an integer, got {value.strip()!r} in family spec {text!r}"
+                ) from None
+    for key in ("q", index_key):
+        if key is not None and key not in params:
             raise ValueError(f"family spec {text!r} is missing {key}")
-        return int(params[key])
-
-    if head == "wenger":
-        return FamilySpec(Family.WENGER, q, need("n"))
-    if head == "wenger-alt":
-        return FamilySpec(Family.WENGER_ALT, q, need("n"))
-    if head == "lwenger":
-        return FamilySpec(Family.LINEARIZED, q, need("m"))
-    if head == "lie":
-        if lie_tag not in ("m1", "m2", "m3"):
-            raise ValueError(f"lie family must be one of M1, M2, M3, got {lie_tag!r}")
-        return FamilySpec(Family[f"LIE_{lie_tag.upper()}"], q)
-    raise ValueError(f"unknown family {head!r}")
+    if family is not None:
+        return FamilySpec(family, params["q"], params[index_key])
+    if lie_tag not in ("m1", "m2", "m3"):
+        raise ValueError(f"lie family must be one of M1, M2, M3, got {lie_tag!r}")
+    return FamilySpec(Family[f"LIE_{lie_tag.upper()}"], params["q"])
 
 
 def _wenger_relation(j: int):

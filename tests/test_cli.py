@@ -451,6 +451,12 @@ def test_automorphism_reports_an_edge_not_sent_to_base(capsys, monkeypatch):
         (("certify", "--family", "wenger:n=1,q=3", "--seed", "x"), "--seed"),
         (("bench", "wenger:n=2,q=2"), "'bench'"),
         ((), "command"),
+        (("certify", "--family", "wenger:n=1,q=3,q=5"), "repeated key 'q'"),
+        (("predict", "--family", "lie:M1,q=5,n=9"), "unknown key 'n'"),
+        (("predict", "--family", "wenger:n=1,q=5,m=7"), "unknown key 'm'"),
+        (("generate", "--family", "wenger:n=1,q=abc"), "q must be an integer"),
+        (("certify", "--family", "wenger:n=1,q=3", "--expect", "g"), "--expect"),
+        (("certify", "--family", "wenger:n=1,q=3", "--expect", "g=x,lambda=1"), "'g=x,lambda=1'"),
     ],
 )
 def test_usage_errors_are_one_line_exit_1(capsys, argv, named):

@@ -42,6 +42,20 @@ def test_parse_family_spec():
     for text in ["wenger", "wenger:q=3", "lie:M4,q=5", "nope:q=3", "wenger:n=1,q=6"]:
         with pytest.raises(ValueError):
             parse_family_spec(text)
+    for text, named in [
+        ("wenger:n=1,q=3,q=5", "repeated key 'q'"),
+        ("lie:M3,q=5,q=5", "repeated key 'q'"),
+        ("lie:M1,q=5,n=9", "unknown key 'n'"),
+        ("wenger:n=1,q=5,m=7", "unknown key 'm'"),
+        ("lwenger:m=1,n=1,q=4", "unknown key 'n'"),
+        ("wenger:n=1,q=abc", "q must be an integer, got 'abc'"),
+        ("wenger-alt:n=,q=3", "n must be an integer, got ''"),
+        ("wenger:M3,n=1,q=3", "unrecognized parameter 'M3'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_family_spec(text)
+        assert named in str(err.value) and repr(text) in str(err.value)
+    assert parse_family_spec(" Wenger: N = 2 , Q = 3 ,") == FamilySpec(Family.WENGER, 3, 2)
 
 
 def test_label_roundtrip():
