@@ -40,12 +40,30 @@ for a depth-first walk of the g-1 edge paths from u to w.
 That depth-first walk, `count_simple_paths`, stays as the test oracle and
 for cycle lengths other than the girth, where the ball need not be a tree.
 
-Exhaustive runs fan the per-edge counts over a fork pool of at most one
-process per core and merge them by edge index, so output is identical for
-any worker count or scheduling, and where fork is unavailable the same
-counts run serially.  Handshake: the per-edge counts of an exhaustive run
-sum to g times the number of girth cycles, which `count_cycles_total`
-reads off the certificate.
+Exhaustive runs count one edge per orbit of the shift tau_x, the one
+symmetry the census uses.  For x in F_q, tau_x sends a point
+(..., p_d) to (..., p_d - x) and a line [..., l_d] to [..., l_d + x],
+fixing every other coordinate.  It is an automorphism of every
+`RelationSet` graph: relation i < d tests p_i + l_i against a function of
+the first i - 1 coordinates of each side, none of which tau_x moves, and
+relation d reads p_d + l_d, which tau_x keeps.  (For d = 1 there are no
+relations and the graph is K_{q,q}.)  So the girth-cycle count is the same
+on the q edges of an orbit, and each orbit holds exactly one edge whose
+point has p_d = 0.  Coordinate d is the most significant digit of a point
+id, so those points are the ids below n_points / q, and their q**d edges
+come first in point-id order.  The census counts these edges alone and
+checks that the counts agree; if they do, every edge's count is that
+value.  If they do not, the first edge in point-id order whose count
+differs is one of them (its orbit's p_d = 0 edge has the same count and an
+earlier point), so the witnesses are those a count of every edge would
+name.  The non-backtracking-walk oracle in the tests counts every edge of
+the full graph and shares none of this.
+
+The counts fan over a fork pool of at most one process per core and merge
+by edge index, so output is identical for any worker count or scheduling,
+and where fork is unavailable the same counts run serially.  Handshake:
+the per-edge counts of an exhaustive run sum to g times the number of
+girth cycles, which `count_cycles_total` reads off the certificate.
 """
 
 from __future__ import annotations
@@ -126,11 +144,14 @@ AUTO_BUDGET = 10**9
 
 
 def estimated_census_cost(edges: int, q: int, g: int) -> int:
-    """Inner-loop steps of an exhaustive census: q*(q-1)**(g/2-1) per edge.
+    """Inner-loop steps of an unreduced exhaustive census: q*(q-1)**(g/2-1)
+    per edge, for every edge.
 
     Serial counting ran at 6 to 12 * 10**6 of these steps per second on a
     2-core x86-64 host under CPython 3 (lie:M3,q=5 to wenger:n=2,q=11), so
-    AUTO_BUDGET buys about 1.5 to 3 minutes of one core.
+    AUTO_BUDGET buys about 1.5 to 3 minutes of one core.  The census counts
+    one edge per shift orbit (see the module docstring), so this price is
+    q times the steps it now takes; AUTO_BUDGET was timed before that.
     """
     return edges * q * (q - 1) ** (g // 2 - 1)
 
@@ -139,7 +160,8 @@ def estimated_census_cost(edges: int, q: int, g: int) -> int:
 class Auto:
     """Exhaustive when the estimated census cost fits AUTO_BUDGET, else a
     sample of `count` draws; certify resolves it once it has measured the
-    girth."""
+    girth.  The estimate prices every edge, so it is q times the cost of
+    the exhaustive census that counts one edge per shift orbit."""
 
     seed: int = 0
     count: int = 256
@@ -196,8 +218,10 @@ class EgrCertificate:
 
     @property
     def edges_counted(self) -> int:
-        """Distinct edges whose girth cycles were counted (a sample's draws
-        may repeat an edge)."""
+        """Distinct edges certified: the keys of per_edge_counts (a sample's
+        draws may repeat an edge).  An exhaustive census certifies all
+        q**(d+1) edges but counts only the q**d of its shift-orbit
+        representatives (see the module docstring)."""
         return len(self.per_edge_counts)
 
 
@@ -510,11 +534,12 @@ def certify(
 ) -> EgrCertificate:
     """Measure (v, k, g, lambda) for the family instance.
 
-    Exhaustive mode counts through every edge and insists the counts agree;
-    Sampled does the same on a seeded pseudo-random edge set; BaseEdgeOnly
-    counts through the all-zero edge alone, which certifies lambda only for
-    graphs already known to be edge-transitive.  Auto becomes Exhaustive or
-    Sampled once the girth is measured.
+    Exhaustive mode counts through one edge per shift orbit and insists the
+    counts agree, which certifies every edge (see the module docstring);
+    Sampled counts the edges of a seeded pseudo-random set and insists they
+    agree; BaseEdgeOnly counts through the all-zero edge alone, which
+    certifies lambda only for graphs already known to be edge-transitive.
+    Auto becomes Exhaustive or Sampled once the girth is measured.
     """
     return _certify_context(
         GraphContext.build(spec),
@@ -559,7 +584,8 @@ def _certify_context(
     elif isinstance(mode, Sampled):
         edges = _sample_edges(ctx, mode.seed, mode.count)
     elif isinstance(mode, Exhaustive):
-        edges = [(pid, lid) for pid in range(ctx.n_points) for lid in ctx.adj[pid]]
+        # the points with p_d = 0: one edge of every shift orbit
+        edges = [(pid, lid) for pid in range(ctx.n_points // k) for lid in ctx.adj[pid]]
     else:
         raise TypeError(f"unknown census mode {mode!r}")
 
@@ -577,6 +603,9 @@ def _certify_context(
         )
     total = numerator // (2 * g)
     if isinstance(mode, Exhaustive):
+        # the counts agree, and every edge shares its orbit's count
+        edges = [(pid, lid) for pid in range(ctx.n_points) for lid in ctx.adj[pid]]
+        counts = [lam] * len(edges)
         edge_sum = sum(counts)
         if edge_sum != g * total:
             raise ValueError(
@@ -599,5 +628,7 @@ def _certify_context(
 
 def count_cycles_total(spec: FamilySpec, *, workers: int | None = None) -> int:
     """Total girth cycles of an edge-girth-regular instance, from the
-    exhaustive certificate (whose per-edge counts pass the handshake check)."""
+    exhaustive certificate, whose per-edge counts cover all q**(d+1) edges
+    (q**d of them counted, the rest their shift orbits' counts) and pass
+    the handshake check."""
     return certify(spec, Exhaustive(), workers=workers).total_girth_cycles

@@ -144,8 +144,16 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip()]
+def _int_list(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of a grid flag; a blank text is an empty
+    grid, but a text that names no integer (say ',') is an error."""
+    try:
+        values = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        values = []
+    if text.strip() and not values:
+        raise ValueError(f"{flag} needs comma-separated integers, got {text!r}")
+    return values
 
 
 def cmd_table(args) -> int:
@@ -155,9 +163,11 @@ def cmd_table(args) -> int:
         "lwenger": Family.LINEARIZED,
     }[args.family]
     workers = resolve_workers(args.workers)
+    indices = _int_list("--index", args.index)
+    qs = _int_list("--q", args.q)
     rows = []
-    for index in _int_list(args.index):
-        for q in _int_list(args.q):
+    for index in indices:
+        for q in qs:
             spec = FamilySpec(family, q, index)
             g_pred, lam_pred = predictions.predict(spec)
             if 2 * q**spec.dimension <= args.cutoff:

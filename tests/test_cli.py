@@ -457,6 +457,9 @@ def test_automorphism_reports_an_edge_not_sent_to_base(capsys, monkeypatch):
         (("generate", "--family", "wenger:n=1,q=abc"), "q must be an integer"),
         (("certify", "--family", "wenger:n=1,q=3", "--expect", "g"), "--expect"),
         (("certify", "--family", "wenger:n=1,q=3", "--expect", "g=x,lambda=1"), "'g=x,lambda=1'"),
+        (("table", "--family", "wenger", "--q", "3,x", "--index", "1"), "--q needs comma-separated integers, got '3,x'"),
+        (("table", "--family", "wenger", "--q", "3", "--index", "1,y"), "--index needs comma-separated integers, got '1,y'"),
+        (("table", "--family", "wenger", "--q", ",", "--index", "1"), "--q needs comma-separated integers, got ','"),
     ],
 )
 def test_usage_errors_are_one_line_exit_1(capsys, argv, named):
