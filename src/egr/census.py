@@ -117,9 +117,16 @@ class BaseEdgeOnly:
         return "base-edge-only"
 
 
+SAMPLE_COUNT_LIMIT = 10**6
+
+
 def _require_sample_count(count: int) -> None:
-    if count < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
+    """Every draw is built before the census drops repeats, at about 1 s
+    and 85 MB per 10**6 draws, so the count is capped."""
+    if not 1 <= count <= SAMPLE_COUNT_LIMIT:
+        raise ValueError(
+            f"sample count must be between 1 and {SAMPLE_COUNT_LIMIT}, got {count}"
+        )
 
 
 @dataclass(frozen=True)
@@ -143,25 +150,18 @@ class Exhaustive:
 AUTO_BUDGET = 10**9
 
 
-def estimated_census_cost(edges: int, q: int, g: int) -> int:
-    """Inner-loop steps of an unreduced exhaustive census: q*(q-1)**(g/2-1)
-    per edge, for every edge.
-
-    Serial counting ran at 6 to 12 * 10**6 of these steps per second on a
-    2-core x86-64 host under CPython 3 (lie:M3,q=5 to wenger:n=2,q=11), so
-    AUTO_BUDGET buys about 1.5 to 3 minutes of one core.  The census counts
-    one edge per shift orbit (see the module docstring), so this price is
-    q times the steps it now takes; AUTO_BUDGET was timed before that.
-    """
-    return edges * q * (q - 1) ** (g // 2 - 1)
-
-
 @dataclass(frozen=True)
 class Auto:
-    """Exhaustive when the estimated census cost fits AUTO_BUDGET, else a
-    sample of `count` draws; certify resolves it once it has measured the
-    girth.  The estimate prices every edge, so it is q times the cost of
-    the exhaustive census that counts one edge per shift orbit."""
+    """Exhaustive when the census fits AUTO_BUDGET steps, else a sample of
+    `count` draws; certify resolves it once it has measured the girth.
+
+    The exhaustive census counts the edges/q shift-orbit representatives
+    (see the module docstring) at q*(q-1)**(g/2-1) steps each, so it takes
+    edges*(q-1)**(g/2-1) steps.  Serial counting ran at 7 to 13 * 10**6
+    steps per second on a 2-core x86-64 host under CPython 3.11.7
+    (lie:M3,q=5 to lwenger:m=2,q=9), so AUTO_BUDGET buys about 1.3 to 2.4
+    minutes of one core.
+    """
 
     seed: int = 0
     count: int = 256
@@ -170,7 +170,7 @@ class Auto:
         _require_sample_count(self.count)
 
     def resolve(self, edges: int, q: int, g: int) -> "CensusMode":
-        if estimated_census_cost(edges, q, g) <= AUTO_BUDGET:
+        if edges * (q - 1) ** (g // 2 - 1) <= AUTO_BUDGET:
             return Exhaustive()
         return Sampled(seed=self.seed, count=self.count)
 

@@ -25,8 +25,6 @@ EXIT_ERROR = 1
 EXIT_MISMATCH = 2
 EXIT_NONUNIFORM = 3
 
-TABLE_EXHAUSTIVE_CUTOFF = 20_000
-
 
 def resolve_workers(flag: int | str | None) -> int:
     """Explicit --workers wins; else EGR_WORKERS; else all available cores.
@@ -157,11 +155,9 @@ def _int_list(flag: str, text: str) -> list[int]:
 
 
 def cmd_table(args) -> int:
-    family = {
-        "wenger": Family.WENGER,
-        "wenger-alt": Family.WENGER_ALT,
-        "lwenger": Family.LINEARIZED,
-    }[args.family]
+    """One row per grid cell, each certified with Auto(): exhaustive within
+    census.AUTO_BUDGET, else sampled."""
+    family = Family(args.family)
     workers = resolve_workers(args.workers)
     indices = _int_list("--index", args.index)
     qs = _int_list("--q", args.q)
@@ -170,11 +166,7 @@ def cmd_table(args) -> int:
         for q in qs:
             spec = FamilySpec(family, q, index)
             g_pred, lam_pred = predictions.predict(spec)
-            if 2 * q**spec.dimension <= args.cutoff:
-                mode: census.CensusMode = Exhaustive()
-            else:
-                mode = BaseEdgeOnly()
-            cert = certify(spec, mode, workers=workers)
+            cert = certify(spec, Auto(), workers=workers)
             rows.append(
                 (
                     spec.label(),
@@ -275,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--family", choices=("wenger", "wenger-alt", "lwenger"), required=True)
     table.add_argument("--index", required=True, help="comma-separated n or m values")
     table.add_argument("--q", required=True, help="comma-separated prime powers")
-    table.add_argument("--cutoff", type=int, default=TABLE_EXHAUSTIVE_CUTOFF)
     table.add_argument("--workers", default=None)
     table.add_argument("--output", default=None)
     table.set_defaults(func=cmd_table)

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
+# the bit buffer holds one byte per vertex pair: 134 MB at this limit
+GRAPH6_VERTEX_LIMIT = 1 << 14
+
 
 def _size_bytes(n: int) -> bytes:
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
-        return bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
-    if n <= 68719476735:
-        return bytes([126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)])
-    raise ValueError("graph too large for graph6")
+    return bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
 
 
 def encode_graph6(n: int, edges: Iterable[tuple[int, int]]) -> str:
@@ -22,7 +19,10 @@ def encode_graph6(n: int, edges: Iterable[tuple[int, int]]) -> str:
 
     Bits cover the upper triangle column by column: (0,1), (0,2), (1,2),
     (0,3), ...; each 6-bit group maps to one printable byte offset by 63.
+    n must lie in 0..GRAPH6_VERTEX_LIMIT, checked before any allocation.
     """
+    if not 0 <= n <= GRAPH6_VERTEX_LIMIT:
+        raise ValueError(f"graph6 export takes 0 to {GRAPH6_VERTEX_LIMIT} vertices, got {n}")
     nbits = n * (n - 1) // 2
     bits = bytearray(nbits)
     for u, v in edges:

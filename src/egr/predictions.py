@@ -158,20 +158,17 @@ def sandwich_lambda(q: int, g: int) -> int:
 def turan_lower_bound(ell: int, q: int) -> int:
     """Exact lower bound on the count of 2*ell-cycles avoiding shorter ones.
 
-    ell = 3: q**3*(q-1)**2*(q-2)/6 cycles of length 6 on 2*q**2 vertices;
-    ell = 4: q**4*(q-1)**2*(q**2-4q+5)/8 cycles of length 8 on 2*q**3 vertices.
-    These are the girth-cycle totals of W_1(q) and W_2(q).  Both numerators
-    are exactly divisible for odd prime powers q.
+    This is the girth-cycle total q**ell * lambda / (2*ell) of W_{ell-2}(q),
+    on 2*q**(ell-1) vertices, with lambda from predict_wenger: 6-cycles of
+    W_1(q) for ell = 3, 8-cycles of W_2(q) for ell = 4.  The quotient is
+    exact for odd prime powers q.
     """
     if ell not in (3, 4):
         raise ValueError(f"ell must be 3 or 4, got {ell}")
     p, _ = factor_prime_power(q)
     if p == 2:
         raise ValueError(f"q must be an odd prime power, got {q}")
-    if ell == 3:
-        num, den = q**3 * (q - 1) ** 2 * (q - 2), 6
-    else:
-        num, den = q**4 * (q - 1) ** 2 * (q * q - 4 * q + 5), 8
+    num, den = q**ell * predict_wenger(ell - 2, q)[1], 2 * ell
     if num % den:
         raise AssertionError(f"{num} is not divisible by {den}")  # pragma: no cover
     return num // den

@@ -190,6 +190,23 @@ def test_graph6_rejects_bad_edges():
         encode_graph6(4, [(0, 7)])
 
 
+def test_graph6_vertex_limit_is_checked_before_allocating(monkeypatch):
+    from egr import graph6
+
+    def no_buffer(*args):
+        raise AssertionError("graph6 allocated its bit buffer")
+
+    monkeypatch.setattr(graph6, "bytearray", no_buffer, raising=False)
+    limit = graph6.GRAPH6_VERTEX_LIMIT
+    for n in (-1, limit + 1):
+        with pytest.raises(ValueError, match=str(limit)):
+            graph6.encode_graph6(n, [])
+    # W_2(32) has 65536 vertices, a 2.1 GB buffer; W_2(16) stays under the limit
+    with pytest.raises(ValueError, match="65536"):
+        adg.to_graph6(relations(FamilySpec(Family.WENGER, 32, 2)))
+    assert adg.vertex_count(relations(FamilySpec(Family.WENGER, 16, 2))) <= limit
+
+
 def test_adjacency_cache_limit():
     rel = relations(FamilySpec(Family.WENGER, 1021, 2))
     with pytest.raises(ValueError):

@@ -310,14 +310,34 @@ def test_auto_mode_policy():
 
     assert isinstance(resolve(spec(Family.WENGER, 3, 2), 8), Exhaustive)
     assert isinstance(resolve(spec(Family.LIE_M3, 5), 12), Exhaustive)
-    assert resolve(spec(Family.LIE_M3, 7), 12) == Sampled(seed=5, count=256)
+    # 7**6 edges * 6**5 = 9.1e8 steps over the 7**5 orbit representatives
+    assert isinstance(resolve(spec(Family.LIE_M3, 7), 12), Exhaustive)
+    assert resolve(spec(Family.LIE_M3, 9), 12) == Sampled(seed=5, count=256)
 
 
 def test_auto_mode_honours_its_sample_count():
-    # lie:M3,q=7 has 7**6 edges and is over budget, so auto samples
-    assert census.Auto(seed=5, count=64).resolve(7**6, 7, 12) == Sampled(5, 64)
+    # lie:M3,q=9 has 9**6 edges and is over budget (9**6 * 8**5 = 1.7e10), so auto samples
+    assert census.Auto(seed=5, count=64).resolve(9**6, 9, 12) == Sampled(5, 64)
     with pytest.raises(ValueError, match="sample count"):
         census.Auto(count=0)
+
+
+def test_auto_budget_prices_the_orbit_reduced_census(monkeypatch):
+    # W_2(3): 81 edges, 27 representatives of 3 * 2**3 steps each
+    price = 81 * 2**3
+    monkeypatch.setattr(census, "AUTO_BUDGET", price)
+    assert census.Auto().resolve(81, 3, 8) == Exhaustive()
+    monkeypatch.setattr(census, "AUTO_BUDGET", price - 1)
+    assert census.Auto().resolve(81, 3, 8) == Sampled(seed=0, count=256)
+
+
+def test_sample_count_is_capped():
+    limit = census.SAMPLE_COUNT_LIMIT
+    assert census.Sampled(count=limit).count == limit
+    assert census.Auto(count=limit).count == limit
+    for mode in (census.Sampled, census.Auto):
+        with pytest.raises(ValueError, match=str(limit)):
+            mode(count=limit + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -331,23 +331,21 @@ def test_table_empty_grid(capsys):
     assert len(stdout.strip().splitlines()) == 1  # header only
 
 
-def test_table_cutoff_falls_back_to_base_edge(capsys):
+def test_table_samples_a_cell_over_budget(capsys, monkeypatch):
+    # W_1(3)'s census takes 27 * 2**2 steps
+    monkeypatch.setattr(census, "AUTO_BUDGET", 27 * 2**2 - 1)
     code, stdout, _ = run(
-        capsys,
-        "table",
-        "--family",
-        "wenger",
-        "--index",
-        "1",
-        "--q",
-        "3",
-        "--cutoff",
-        "10",
+        capsys, "table", "--family", "wenger", "--index", "1", "--q", "3", "--workers", "1"
     )
     assert code == 0
-    row = stdout.strip().splitlines()[1]
-    assert "base-edge-only" in row
-    assert row.endswith("yes")
+    row = stdout.strip().splitlines()[1].split()
+    assert row[0] == "wenger:n=1,q=3"
+    assert row[-2:] == ["sampled:seed=0,count=256", "yes"]
+    # the table certifies a cell as certify's default mode does
+    code, stdout, _ = run(capsys, "certify", "--family", "wenger:n=1,q=3", "--workers", "1")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert [payload["mode"], str(payload["lambda"])] == [row[-2], row[4]]
 
 
 def test_automorphism_verify(capsys):
@@ -460,6 +458,8 @@ def test_automorphism_reports_an_edge_not_sent_to_base(capsys, monkeypatch):
         (("table", "--family", "wenger", "--q", "3,x", "--index", "1"), "--q needs comma-separated integers, got '3,x'"),
         (("table", "--family", "wenger", "--q", "3", "--index", "1,y"), "--index needs comma-separated integers, got '1,y'"),
         (("table", "--family", "wenger", "--q", ",", "--index", "1"), "--q needs comma-separated integers, got ','"),
+        (("certify", "--family", "wenger:n=1,q=3", "--mode", "sampled", "--sample-count", "1000001"), "between 1 and 1000000"),
+        (("table", "--family", "wenger", "--q", "3", "--index", "1", "--cutoff", "10"), "--cutoff"),
     ],
 )
 def test_usage_errors_are_one_line_exit_1(capsys, argv, named):

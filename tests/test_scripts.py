@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from egr import census
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -16,12 +18,15 @@ def load_script(name):
     return module
 
 
-# W_1(3) and L_1(3) have 18 vertices each
-@pytest.mark.parametrize("cutoff, mode", [(18, "exhaustive"), (17, "base-edge-only")])
-def test_parameter_table_cutoff_reaches_both_tables(capsys, cutoff, mode):
+# W_1(3) and L_1(3) have 27 edges each, so their censuses take 27 * 2**2 steps
+@pytest.mark.parametrize(
+    "budget, mode", [(108, "exhaustive"), (107, "sampled:seed=0,count=256")]
+)
+def test_parameter_table_budget_reaches_both_tables(capsys, monkeypatch, budget, mode):
+    monkeypatch.setattr(census, "AUTO_BUDGET", budget)
     table = load_script("parameter_table")
     argv = ["--wenger-n", "1", "--wenger-q", "3", "--lwenger-m", "1", "--lwenger-q", "3"]
-    assert table.main(argv + ["--cutoff", str(cutoff), "--workers", "1"]) == 0
+    assert table.main(argv + ["--workers", "1"]) == 0
     wenger, lwenger = capsys.readouterr().out.split("\n\n")
     for text, label in ((wenger, "wenger:n=1,q=3"), (lwenger, "lwenger:m=1,q=3")):
         (row,) = [line.split() for line in text.splitlines() if line.startswith(label)]
