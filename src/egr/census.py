@@ -160,7 +160,10 @@ class Auto:
     edges*(q-1)**(g/2-1) steps.  Serial counting ran at 7 to 13 * 10**6
     steps per second on a 2-core x86-64 host under CPython 3.11.7
     (lie:M3,q=5 to lwenger:m=2,q=9), so AUTO_BUDGET buys about 1.3 to 2.4
-    minutes of one core.
+    minutes of one core on such graphs.  The rate falls on large graphs:
+    lie:M3,q=7 (235298 vertices) counted at about 4 * 10**6 steps per
+    second per core, so a census at the budget there takes about 4 minutes
+    of one core.
     """
 
     seed: int = 0

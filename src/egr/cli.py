@@ -47,10 +47,14 @@ def resolve_workers(flag: int | str | None) -> int:
 
 
 def _emit(text: str, output: str | None) -> None:
-    sys.stdout.write(text)
-    if output and output != "-":
-        with open(output, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+    """Write text to stdout and to --output; the file opens first, so an
+    unwritable path fails before stdout gets anything."""
+    if not output or output == "-":
+        sys.stdout.write(text)
+        return
+    with open(output, "w", encoding="ascii", newline="") as fh:
+        sys.stdout.write(text)
+        fh.write(text)
 
 
 def _parse_expect(text: str) -> tuple[int, int]:

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -157,6 +159,13 @@ def _edges_as_set(rel):
     }
 
 
+def _nx_graph6(n, edges):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(edges)
+    return nx.to_graph6_bytes(ref, header=False).strip()
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -175,10 +184,58 @@ def test_graph6_roundtrip_against_networkx(spec):
         tuple(sorted(e)) for e in _edges_as_set(rel)
     }
     # byte-for-byte identical to the reference encoder
-    ref = nx.Graph()
-    ref.add_nodes_from(range(adg.vertex_count(rel)))
-    ref.add_edges_from(_edges_as_set(rel))
-    assert s.encode("ascii") == nx.to_graph6_bytes(ref, header=False).strip()
+    assert s.encode("ascii") == _nx_graph6(adg.vertex_count(rel), _edges_as_set(rel))
+
+
+def _random_edges(n, pairs, seed):
+    # both orientations and repeated edges, as callers may pass them
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(n), 2)) for _ in range(pairs)] if n > 1 else []
+
+
+@pytest.mark.parametrize("n", [*range(71), 258])
+def test_graph6_bytes_match_networkx_on_random_graphs(n):
+    # n = 0..70 meets every value that n(n-1)/2 takes mod 24, the bit length
+    # of one base64 block; 258 takes the four-byte size header
+    from egr.graph6 import encode_graph6
+
+    edges = _random_edges(n, n * (n - 1) // 6, seed=n)
+    assert encode_graph6(n, edges).encode("ascii") == _nx_graph6(n, edges)
+
+
+def test_graph6_bytes_match_networkx_at_4096_vertices():
+    # networkx's encoder takes about 17 s here, its decoder about 2 s: a
+    # string that decodes to the same graph, has the length graph6 fixes
+    # and zero padding bits is the one networkx's encoder would give
+    from egr.graph6 import encode_graph6
+
+    n = 4096
+    edges = _random_edges(n, 4 * n, seed=n)
+    s = encode_graph6(n, edges)
+    assert s[:4] == chr(126) + chr(63 + 1) + chr(63) + chr(63)
+    decoded = nx.from_graph6_bytes(s.encode("ascii"))
+    assert sorted(decoded.nodes()) == list(range(n))
+    assert {frozenset(e) for e in decoded.edges()} == {frozenset(e) for e in edges}
+    nbits = n * (n - 1) // 2
+    assert len(s) == 4 + -(-nbits // 6)
+    assert (ord(s[-1]) - 63) & ((1 << (-nbits % 6)) - 1) == 0
+
+
+def test_graph6_buffer_holds_one_bit_per_vertex_pair(monkeypatch):
+    from egr import graph6
+
+    sizes = []
+
+    def recorded(size):
+        sizes.append(size)
+        return bytearray(size)
+
+    monkeypatch.setattr(graph6, "bytearray", recorded, raising=False)
+    rel = relations(FamilySpec(Family.WENGER, 16, 2))
+    n = adg.vertex_count(rel)
+    adg.to_graph6(rel)
+    assert len(sizes) == 1
+    assert sizes[0] <= -(-(n * (n - 1) // 2) // 8) + 3
 
 
 def test_graph6_rejects_bad_edges():

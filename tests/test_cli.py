@@ -28,6 +28,16 @@ def test_generate_edge_list_golden(capsys, tmp_path):
     assert out_file.read_text(encoding="ascii") == expected
 
 
+def test_generate_unwritable_output_prints_nothing(capsys, tmp_path):
+    bad = tmp_path / "missing" / "x.txt"
+    code, stdout, stderr = run(
+        capsys, "generate", "--family", "wenger:n=1,q=3", "--output", str(bad)
+    )
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("egr: ")
+
+
 @pytest.mark.parametrize(
     "family, fmt, digest",
     [
