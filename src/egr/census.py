@@ -59,11 +59,14 @@ earlier point), so the witnesses are those a count of every edge would
 name.  The non-backtracking-walk oracle in the tests counts every edge of
 the full graph and shares none of this.
 
-The counts fan over a fork pool of at most one process per core and merge
-by edge index, so output is identical for any worker count or scheduling,
-and where fork is unavailable the same counts run serially.  Handshake:
-the per-edge counts of an exhaustive run sum to g times the number of
-girth cycles, which `count_cycles_total` reads off the certificate.
+A count priced at POOL_MIN_STEPS or more fans over a fork pool of at most
+one process per core and merges by edge index, so output is identical for
+any worker count or scheduling.  The price is `census_steps`, the unit
+`Auto` also budgets in: q*(q-1)**(g/2-1) steps per counted edge.  A
+cheaper count, or any count where fork is unavailable, runs serially
+through the same counter in this process.  Handshake: the per-edge counts
+of an exhaustive run sum to g times the number of girth cycles, which
+`count_cycles_total` reads off the certificate.
 """
 
 from __future__ import annotations
@@ -148,6 +151,14 @@ class Exhaustive:
 
 
 AUTO_BUDGET = 10**9
+POOL_MIN_STEPS = 10**6
+
+
+def census_steps(edges: int, q: int, g: int) -> int:
+    """The price of counting girth cycles through `edges` edges of a graph
+    of degree q and girth g: q*(q-1)**(g/2-1) steps per edge, the walks of
+    `GirthCycleCounter` (see the module docstring)."""
+    return edges * q * (q - 1) ** (g // 2 - 1)
 
 
 @dataclass(frozen=True)
@@ -156,14 +167,16 @@ class Auto:
     `count` draws; certify resolves it once it has measured the girth.
 
     The exhaustive census counts the edges/q shift-orbit representatives
-    (see the module docstring) at q*(q-1)**(g/2-1) steps each, so it takes
+    (see the module docstring), so it takes census_steps(edges/q, q, g) =
     edges*(q-1)**(g/2-1) steps.  Serial counting ran at 7 to 13 * 10**6
     steps per second on a 2-core x86-64 host under CPython 3.11.7
     (lie:M3,q=5 to lwenger:m=2,q=9), so AUTO_BUDGET buys about 1.3 to 2.4
     minutes of one core on such graphs.  The rate falls on large graphs:
     lie:M3,q=7 (235298 vertices) counted at about 4 * 10**6 steps per
     second per core, so a census at the budget there takes about 4 minutes
-    of one core.
+    of one core.  The same price decides the fork pool: a count of
+    POOL_MIN_STEPS (10**6, about 0.1 s of one core) or more runs in it,
+    a cheaper one serially (see pool_processes).
     """
 
     seed: int = 0
@@ -173,7 +186,7 @@ class Auto:
         _require_sample_count(self.count)
 
     def resolve(self, edges: int, q: int, g: int) -> "CensusMode":
-        if edges * (q - 1) ** (g // 2 - 1) <= AUTO_BUDGET:
+        if census_steps(edges // q, q, g) <= AUTO_BUDGET:
             return Exhaustive()
         return Sampled(seed=self.seed, count=self.count)
 
@@ -374,10 +387,14 @@ def girth_of_context(ctx: GraphContext) -> int:
 def count_simple_paths(adj, u: int, w: int, length: int) -> int:
     """Simple paths from u to w with `length` edges, interior avoiding u, w.
 
-    Depth-first over the adjacency cache with an on-path visited table; the
-    two deepest levels are flattened into plain loops since they dominate
-    the running time.
+    `length` must be odd and positive (ValueError otherwise): u and w are
+    the ends of an edge of a bipartite graph, so every path joining them
+    has odd length.  Depth-first over the adjacency cache with an on-path
+    visited table; the two deepest levels are flattened into plain loops
+    since they dominate the running time.
     """
+    if length < 1 or length % 2 == 0:
+        raise ValueError(f"path length must be an odd integer >= 1, got {length}")
     n = len(adj)
     target = bytearray(n)
     for y in adj[w]:
@@ -390,11 +407,6 @@ def count_simple_paths(adj, u: int, w: int, length: int) -> int:
 
     def rec(x: int, remaining: int) -> int:
         c = 0
-        if remaining == 2:
-            for y in adj[x]:
-                if target[y] and not visited[y]:
-                    c += 1
-            return c
         if remaining == 3:
             # z != y needs no check: consecutive vertices alternate sides
             for y in adj[x]:
@@ -483,22 +495,34 @@ def _worker_count(edge):
 def _count_edges(ctx: GraphContext, edges: list[tuple[int, int]], g: int, workers: int):
     """Girth cycles through each listed edge; order-stable and parallel-safe.
 
-    The pool starts min(workers, cores, chunks) processes and hands each
-    about four chunks; where fork is unavailable the count runs serially.
+    The count runs in a fork pool of `pool_processes` processes, each
+    handed about four chunks, only when it is priced at POOL_MIN_STEPS or
+    more; below that, or where fork is unavailable, it runs serially.
     """
-    processes = min(workers, default_workers())
-    if processes > 1 and len(edges) >= 4:
+    processes = pool_processes(census_steps(len(edges), ctx.field.q, g), len(edges), workers)
+    if processes > 1:
         try:
             mp = multiprocessing.get_context("fork")
         except ValueError:
             mp = None
         if mp is not None:
             chunksize = math.ceil(len(edges) / (4 * processes))
-            processes = min(processes, math.ceil(len(edges) / chunksize))
             with mp.Pool(processes, initializer=_worker_init, initargs=(ctx.adj, g)) as pool:
                 return pool.map(_worker_count, edges, chunksize=chunksize)
     counter = GirthCycleCounter(ctx.adj, g)
     return [counter(u, w) for u, w in edges]
+
+
+def pool_processes(steps: int, n_edges: int, workers: int) -> int:
+    """Processes for counting n_edges edges priced at `steps` (see
+    census_steps); 1 means serial.  Below POOL_MIN_STEPS the count runs
+    serially: on a 2-core host a pool of two lost or broke even up to
+    1.4 * 10**6 steps and gained from 3 * 10**6 on, where 10**6 steps
+    take about 0.1 s of one core (the README gives the crossover table).
+    At or above it the pool takes min(workers, cores, n_edges)
+    processes, so that each gets a chunk of at least one edge."""
+    processes = min(workers, default_workers(), n_edges)
+    return processes if steps >= POOL_MIN_STEPS and processes > 1 else 1
 
 
 def default_workers() -> int:

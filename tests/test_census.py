@@ -207,8 +207,11 @@ class InlinePoolContext:
 
 @pytest.fixture
 def inline_pool(monkeypatch):
+    """The inline pool, with the step threshold lowered so that W_2(3)'s
+    census (27 edges at 3 * 2**3 steps each) is priced above it."""
     context = InlinePoolContext()
     monkeypatch.setattr(census, "_WORKER_STATE", None)
+    monkeypatch.setattr(census, "POOL_MIN_STEPS", 0)
     monkeypatch.setattr(census.multiprocessing, "get_context", lambda method: context)
     return context
 
@@ -250,10 +253,75 @@ def test_census_without_fork_runs_serially(monkeypatch):
         raise ValueError(f"cannot find context for {method!r}")
 
     monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(census, "POOL_MIN_STEPS", 0)
     monkeypatch.setattr(census.multiprocessing, "get_context", no_fork)
     s = spec(Family.WENGER, 3, 2)
     assert certify(s, Exhaustive(), workers=2) == certify(s, Exhaustive(), workers=1)
     assert asked == ["fork"]
+
+
+def test_census_steps_is_the_auto_price():
+    # W_2(3): 27 representatives at 3 * 2**3 steps; Auto is given all 81 edges
+    assert census.census_steps(27, 3, 8) == 27 * 3 * 2**3
+    # lie:M3,q=7, the budget's worked example: 7**5 representatives of g = 12
+    assert census.census_steps(7**5, 7, 12) == 7**6 * 6**5
+
+
+@pytest.mark.parametrize(
+    "steps, n_edges, workers, cores, processes",
+    [
+        (10**6 - 1, 10**4, 8, 8, 1),  # below the threshold: serial
+        (10**6, 10**4, 8, 8, 8),  # at it: the pool
+        (10**6, 10**4, 5000, 4, 4),  # capped by cores
+        (10**6, 10**4, 3, 4, 3),  # capped by workers
+        (10**6, 10**4, 5000, 1, 1),  # one core: serial
+        (10**6, 5, 8, 8, 5),  # capped by chunks
+        (10**6, 1, 8, 8, 1),  # one edge: serial
+    ],
+)
+def test_pool_processes(monkeypatch, steps, n_edges, workers, cores, processes):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: cores)
+    assert census.POOL_MIN_STEPS == 10**6
+    assert census.pool_processes(steps, n_edges, workers) == processes
+
+
+def test_census_below_the_threshold_starts_no_pool(monkeypatch):
+    def forbidden(method=None):
+        raise AssertionError(f"a census below POOL_MIN_STEPS asked for a {method!r} context")
+
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(census.multiprocessing, "get_context", forbidden)
+    s = spec(Family.WENGER, 3, 2)
+    assert census.census_steps(27, 3, 8) < census.POOL_MIN_STEPS
+    assert certify(s, Exhaustive(), workers=8) == certify(s, Exhaustive(), workers=1)
+
+
+def test_census_above_the_threshold_forks_and_matches_serial(monkeypatch):
+    # W_2(8): 512 representatives at 8 * 7**3 steps, 1.4e6 in all
+    fork = census.multiprocessing.get_context("fork")
+    pools = []
+
+    def spy_pool(processes, *args, **kwargs):
+        pools.append(processes)
+        return type(fork).Pool(fork, processes, *args, **kwargs)
+
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(fork, "Pool", spy_pool)
+    s = spec(Family.WENGER, 8, 2)
+    assert census.census_steps(8**3, 8, 8) >= census.POOL_MIN_STEPS
+    serial = certify(s, Exhaustive(), workers=1)
+    assert pools == []
+    pooled = certify(s, Exhaustive(), workers=2)
+    assert pools == [2]
+    assert pooled == serial
+
+    def serialised(cert, workers):
+        payload = census.certificate_to_json(cert, 0.0, workers)
+        payload.pop("elapsed_ms")
+        payload.pop("workers")
+        return json.dumps(payload, sort_keys=True)
+
+    assert serialised(pooled, 2) == serialised(serial, 1)
 
 
 def test_non_uniform_graph_raises_with_witnesses():

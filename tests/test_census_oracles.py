@@ -55,6 +55,13 @@ def test_path_counts_on_cycle():
     assert count_simple_paths(adj, 0, 1, 8 - 1) == 1
 
 
+@pytest.mark.parametrize("length", [-1, 0, 2, 4, 8])
+def test_path_length_must_be_odd_and_positive(length):
+    # both ends of an edge of a bipartite graph: every joining path is odd
+    with pytest.raises(ValueError, match="odd integer >= 1"):
+        count_simple_paths(cycle_adj(8), 0, 1, length)
+
+
 def test_path_counts_on_complete_bipartite():
     adj = [(3, 4, 5)] * 3 + [(0, 1, 2)] * 3
     # 4-cycles through an edge of K_{3,3}: 2 choices each side

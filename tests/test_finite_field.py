@@ -327,3 +327,23 @@ def test_frobenius_additive_gf27(i, j):
 def test_index_roundtrip_gf25(i):
     f = Field(5, 2)
     assert f.from_index(i).index == i
+
+
+@pytest.mark.parametrize(
+    "q, index, text",
+    [
+        (4, 0, "0"),
+        (4, 1, "1"),
+        (4, 2, "a"),
+        (4, 3, "1+a"),
+        (8, 4, "a^2"),
+        (8, 7, "1+a+a^2"),
+        (9, 2, "2"),
+        (9, 6, "2a"),
+        (9, 8, "2+2a"),
+        (27, 18, "2a^2"),
+    ],
+)
+def test_extension_element_repr(q, index, text):
+    # coefficients of 1, a, a^2, ... in base-p digit order, zero terms dropped
+    assert repr(Field.of_order(q).from_index(index)) == text
