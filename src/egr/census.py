@@ -64,9 +64,9 @@ one process per core and merges by edge index, so output is identical for
 any worker count or scheduling.  The price is `census_steps`, the unit
 `Auto` also budgets in: q*(q-1)**(g/2-1) steps per counted edge.  A
 cheaper count, or any count where fork is unavailable, runs serially
-through the same counter in this process.  Handshake: the per-edge counts
-of an exhaustive run sum to g times the number of girth cycles, which
-`count_cycles_total` reads off the certificate.
+through the same counter in this process.  Total: each of the v*k/2
+edges lies on lambda girth cycles and each girth cycle has g edges, so the
+graph has v*k*lambda/(2g) girth cycles, which must be an integer.
 """
 
 from __future__ import annotations
@@ -259,33 +259,6 @@ def certificate_to_json(cert: EgrCertificate, elapsed_ms: float, workers: int) -
     }
 
 
-# -- graph context -----------------------------------------------------------
-
-@dataclass
-class GraphContext:
-    """A graph instance with its field, relations and adjacency cache."""
-
-    field: Field
-    rel: RelationSet
-    adj: list[tuple[int, ...]]
-
-    @classmethod
-    def build(cls, spec: FamilySpec) -> "GraphContext":
-        return cls.from_relations(relations(spec))
-
-    @classmethod
-    def from_relations(cls, rel: RelationSet) -> "GraphContext":
-        return cls(field=rel.field, rel=rel, adj=adg.build_adjacency(rel))
-
-    @property
-    def n_points(self) -> int:
-        return len(self.adj) // 2
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.adj)
-
-
 # -- girth -------------------------------------------------------------------
 
 def girth_of_adjacency(adj, n_points: int) -> int:
@@ -372,11 +345,12 @@ def _tree_cycle(parent, x: int, y: int) -> list[int]:
 
 def girth(spec: FamilySpec) -> int:
     """Exact girth of the family instance."""
-    return girth_of_context(GraphContext.build(spec))
+    return _girth(adg.build_adjacency(relations(spec)))
 
 
-def girth_of_context(ctx: GraphContext) -> int:
-    g = girth_of_adjacency(ctx.adj, ctx.n_points)
+def _girth(adj) -> int:
+    """girth_of_adjacency of a point/line adjacency; ValueError if acyclic."""
+    g = girth_of_adjacency(adj, len(adj) // 2)
     if g >= _NO_CYCLE:
         raise ValueError("graph is acyclic; no girth")
     return g
@@ -467,15 +441,15 @@ def count_cycles_through_edge(
     """Exact number of cycles of the given even length containing the edge."""
     if length % 2 or length < 4:
         raise ValueError(f"cycle length must be an even integer >= 4, got {length}")
-    ctx = GraphContext.build(spec)
+    rel = relations(spec)
     a, b = edge
     if a.side is Side.LINE:
         a, b = b, a
-    if not adg.adjacent(a, b, ctx.rel):
+    if not adg.adjacent(a, b, rel):
         raise ValueError("the given vertex pair is not an edge")
-    u = adg.vertex_id(a, ctx.rel)
-    w = adg.vertex_id(b, ctx.rel)
-    return count_simple_paths(ctx.adj, u, w, length - 1)
+    u = adg.vertex_id(a, rel)
+    w = adg.vertex_id(b, rel)
+    return count_simple_paths(adg.build_adjacency(rel), u, w, length - 1)
 
 
 # -- parallel per-edge census --------------------------------------------------
@@ -492,14 +466,14 @@ def _worker_count(edge):
     return _WORKER_STATE(*edge)
 
 
-def _count_edges(ctx: GraphContext, edges: list[tuple[int, int]], g: int, workers: int):
+def _count_edges(adj, q: int, edges: list[tuple[int, int]], g: int, workers: int):
     """Girth cycles through each listed edge; order-stable and parallel-safe.
 
     The count runs in a fork pool of `pool_processes` processes, each
     handed about four chunks, only when it is priced at POOL_MIN_STEPS or
     more; below that, or where fork is unavailable, it runs serially.
     """
-    processes = pool_processes(census_steps(len(edges), ctx.field.q, g), len(edges), workers)
+    processes = pool_processes(census_steps(len(edges), q, g), len(edges), workers)
     if processes > 1:
         try:
             mp = multiprocessing.get_context("fork")
@@ -507,9 +481,9 @@ def _count_edges(ctx: GraphContext, edges: list[tuple[int, int]], g: int, worker
             mp = None
         if mp is not None:
             chunksize = math.ceil(len(edges) / (4 * processes))
-            with mp.Pool(processes, initializer=_worker_init, initargs=(ctx.adj, g)) as pool:
+            with mp.Pool(processes, initializer=_worker_init, initargs=(adj, g)) as pool:
                 return pool.map(_worker_count, edges, chunksize=chunksize)
-    counter = GirthCycleCounter(ctx.adj, g)
+    counter = GirthCycleCounter(adj, g)
     return [counter(u, w) for u, w in edges]
 
 
@@ -531,26 +505,23 @@ def default_workers() -> int:
 
 # -- certification -------------------------------------------------------------
 
-def _base_edge_ids(ctx: GraphContext) -> tuple[int, int]:
-    base_line = ctx.n_points  # all-zero line
-    if base_line not in ctx.adj[0]:
+def _base_edge_ids(adj) -> tuple[int, int]:
+    base_line = len(adj) // 2  # all-zero line
+    if base_line not in adj[0]:
         raise ValueError("the all-zero point and line are not adjacent in this graph")
     return 0, base_line
 
 
-def _sample_edges(ctx: GraphContext, seed: int, count: int) -> list[tuple[int, int]]:
+def _sample_edges(adj, q: int, seed: int, count: int) -> list[tuple[int, int]]:
     """The distinct edges among the seeded draws, in first-drawn order."""
-    draws = sample_draws(seed, ctx.n_points, ctx.field.q, count)
-    return list(dict.fromkeys((pid, ctx.adj[pid][slot]) for pid, slot in draws))
+    draws = sample_draws(seed, len(adj) // 2, q, count)
+    return list(dict.fromkeys((pid, adj[pid][slot]) for pid, slot in draws))
 
 
 def _check_uniform(edges, counts, g: int):
-    first = counts[0]
     for e, c in zip(edges, counts):
-        if c != first:
-            raise NonUniformCountsError(
-                (edges[0][0], edges[0][1], first), (e[0], e[1], c), g
-            )
+        if c != counts[0]:
+            raise NonUniformCountsError((*edges[0], counts[0]), (*e, c), g)
 
 
 def certify(
@@ -566,15 +537,10 @@ def certify(
     Sampled counts the edges of a seeded pseudo-random set and insists they
     agree; BaseEdgeOnly counts through the all-zero edge alone, which
     certifies lambda only for graphs already known to be edge-transitive.
-    Auto becomes Exhaustive or Sampled once the girth is measured.
+    Auto becomes Exhaustive or Sampled once the girth is measured.  The
+    total is v*k*lambda/(2g) girth cycles (see the module docstring).
     """
-    return _certify_context(
-        GraphContext.build(spec),
-        mode,
-        workers,
-        family=spec.family.value,
-        index=spec.index,
-    )
+    return _certify(relations(spec), mode, workers, family=spec.family.value, index=spec.index)
 
 
 def certify_relations(
@@ -585,13 +551,11 @@ def certify_relations(
     family: str = "custom",
 ) -> EgrCertificate:
     """certify() for an arbitrary relation set, named families or not."""
-    return _certify_context(
-        GraphContext.from_relations(rel), mode, workers, family=family, index=None
-    )
+    return _certify(rel, mode, workers, family=family, index=None)
 
 
-def _certify_context(
-    ctx: GraphContext,
+def _certify(
+    rel: RelationSet,
     mode: CensusMode,
     workers: int | None,
     *,
@@ -600,25 +564,25 @@ def _certify_context(
 ) -> EgrCertificate:
     if workers is None:
         workers = default_workers()
-    g = girth_of_context(ctx)
-    v = ctx.n_vertices
-    k = ctx.field.q
+    adj = adg.build_adjacency(rel)
+    g = _girth(adj)
+    v, k = len(adj), rel.field.q
+    n_points = v // 2
 
     if isinstance(mode, Auto):
-        mode = mode.resolve(ctx.n_points * k, k, g)
+        mode = mode.resolve(n_points * k, k, g)
     if isinstance(mode, BaseEdgeOnly):
-        edges = [_base_edge_ids(ctx)]
+        edges = [_base_edge_ids(adj)]
     elif isinstance(mode, Sampled):
-        edges = _sample_edges(ctx, mode.seed, mode.count)
+        edges = _sample_edges(adj, k, mode.seed, mode.count)
     elif isinstance(mode, Exhaustive):
         # the points with p_d = 0: one edge of every shift orbit
-        edges = [(pid, lid) for pid in range(ctx.n_points // k) for lid in ctx.adj[pid]]
+        edges = [(pid, lid) for pid in range(n_points // k) for lid in adj[pid]]
     else:
         raise TypeError(f"unknown census mode {mode!r}")
 
-    counts = _count_edges(ctx, edges, g, workers)
-    if not isinstance(mode, BaseEdgeOnly):
-        _check_uniform(edges, counts, g)
+    counts = _count_edges(adj, k, edges, g, workers)
+    _check_uniform(edges, counts, g)
     lam = counts[0]
     if lam < 1:
         raise ValueError("counted edge lies on no girth cycle; the graph is not edge-girth-regular")
@@ -628,34 +592,28 @@ def _certify_context(
         raise ValueError(
             f"v*k*lambda = {numerator} is not divisible by 2g = {2 * g}; census is inconsistent"
         )
-    total = numerator // (2 * g)
     if isinstance(mode, Exhaustive):
         # the counts agree, and every edge shares its orbit's count
-        edges = [(pid, lid) for pid in range(ctx.n_points) for lid in ctx.adj[pid]]
-        counts = [lam] * len(edges)
-        edge_sum = sum(counts)
-        if edge_sum != g * total:
-            raise ValueError(
-                f"handshake failure: per-edge counts sum to {edge_sum}, expected {g * total}"
-            )
+        per_edge = dict.fromkeys(((pid, lid) for pid in range(n_points) for lid in adj[pid]), lam)
+    else:
+        per_edge = dict(zip(edges, counts))
     return EgrCertificate(
         family=family,
         q=k,
         index=index,
-        field=ctx.field,
+        field=rel.field,
         v=v,
         k=k,
         g=g,
         lam=lam,
         mode=mode.describe(),
-        total_girth_cycles=total,
-        per_edge_counts=dict(zip(edges, counts)),
+        total_girth_cycles=numerator // (2 * g),
+        per_edge_counts=per_edge,
     )
 
 
 def count_cycles_total(spec: FamilySpec, *, workers: int | None = None) -> int:
-    """Total girth cycles of an edge-girth-regular instance, from the
-    exhaustive certificate, whose per-edge counts cover all q**(d+1) edges
-    (q**d of them counted, the rest their shift orbits' counts) and pass
-    the handshake check."""
+    """Total girth cycles of an edge-girth-regular instance: v*k*lambda/(2g)
+    from the exhaustive certificate, whose per-edge counts agree on every
+    shift-orbit representative and so on all q**(d+1) edges."""
     return certify(spec, Exhaustive(), workers=workers).total_girth_cycles

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import replace
 
 from . import adg, census, predictions
 from .automorphisms import lwenger_relations, verify_lwenger
@@ -27,22 +25,16 @@ EXIT_NONUNIFORM = 3
 
 
 def resolve_workers(flag: int | str | None) -> int:
-    """Explicit --workers wins; else EGR_WORKERS; else all available cores.
-
-    Either must be an integer of at least 1; ValueError names the source.
-    """
-    if flag is not None:
-        source, value = "--workers", flag
-    else:
-        source, value = "EGR_WORKERS", os.environ.get("EGR_WORKERS")
-        if not value:
-            return census.default_workers()
+    """--workers, an integer of at least 1 (ValueError otherwise); without
+    it, all available cores."""
+    if flag is None:
+        return census.default_workers()
     try:
-        workers = int(value)
+        workers = int(flag)
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ValueError(f"{source} must be an integer of at least 1, got {value!r}")
+        raise ValueError(f"--workers must be an integer of at least 1, got {flag!r}")
     return workers
 
 
@@ -58,10 +50,18 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _parse_expect(text: str) -> tuple[int, int]:
+    """(g, lambda) from `g=<int>,lambda=<int>`; ValueError names an unknown
+    or repeated key."""
+    fields = {}
+    for part in text.split(","):
+        key, _, value = part.partition("=")
+        key = key.strip()
+        if key in fields or key not in ("g", "lambda"):
+            problem = "repeated" if key in fields else "unknown"
+            raise ValueError(f"{problem} key {key!r} in --expect {text!r}")
+        fields[key] = value
     try:
-        pairs = (part.partition("=") for part in text.split(","))
-        fields = {key.strip(): int(value) for key, _, value in pairs}
-        return fields["g"], fields["lambda"]
+        return int(fields["g"]), int(fields["lambda"])
     except (KeyError, ValueError):
         raise ValueError(f"--expect needs g=<int>,lambda=<int>, got {text!r}") from None
 
@@ -90,6 +90,8 @@ def cmd_certify(args) -> int:
     workers = resolve_workers(args.workers)
     expect = _parse_expect(args.expect) if args.expect else None
     spec = parse_family_spec(args.family)
+    if args.expect_predicted:
+        expect = predictions.predict(spec)
     mode = _census_mode(args)
     start = time.perf_counter()
     try:
@@ -100,9 +102,6 @@ def cmd_certify(args) -> int:
         return EXIT_NONUNIFORM
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     payload = census.certificate_to_json(cert, elapsed_ms, workers)
-
-    if expect is None and args.expect_predicted:
-        expect = predictions.predict(spec)
     if expect is not None:
         payload["expected_g"], payload["expected_lambda"] = expect
         payload["match"] = expect == (cert.g, cert.lam)
@@ -124,24 +123,14 @@ def cmd_predict(args) -> int:
         "lambda": lam,
     }
     if args.bounds:
-        report = predictions.extremal_lower_bounds(spec.q, g, lam)
-        # sandwich holds only at the lambda it is computed for
-        if spec.q % 2 and g in (6, 8) and lam == predictions.sandwich_lambda(spec.q, g):
-            report = replace(report, sandwich=predictions.sandwich(spec.q, g))
+        report = predictions.order_bounds(spec.q, g, lam)
         payload["moore"] = report.moore
         payload["extremal_general"] = report.extremal_general
         payload["extremal_bipartite"] = report.extremal_bipartite
         if report.sandwich is not None:
             payload["sandwich"] = list(report.sandwich)
     if args.turan:
-        fam, n = spec.family, spec.index
-        wenger_like = fam in (Family.WENGER, Family.WENGER_ALT) and n in (1, 2)
-        lie_like = fam in (Family.LIE_M1, Family.LIE_M2)
-        if (wenger_like or lie_like) and spec.q % 2:
-            ell = 3 if (n == 1 or fam is Family.LIE_M1) else 4
-            payload["turan"] = predictions.turan_lower_bound(ell, spec.q)
-        else:
-            payload["turan"] = None
+        payload["turan"] = predictions.turan_bound(spec)
     _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return EXIT_OK
 
@@ -251,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--seed", type=int, default=0)
     cert.add_argument("--sample-count", type=int, default=256)
     cert.add_argument("--workers", default=None)
-    cert.add_argument("--expect", default=None, help="g=<int>,lambda=<int>")
-    cert.add_argument(
+    expect = cert.add_mutually_exclusive_group()
+    expect.add_argument("--expect", default=None, help="g=<int>,lambda=<int>")
+    expect.add_argument(
         "--expect-predicted",
         action="store_true",
         help="compare against the closed-form prediction",

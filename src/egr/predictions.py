@@ -8,7 +8,7 @@ of 6- and 8-cycles in graphs with no shorter cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .families import Family, FamilySpec
@@ -132,6 +132,15 @@ def extremal_lower_bounds(k: int, g: int, lam: int) -> BoundsReport:
     )
 
 
+def order_bounds(q: int, g: int, lam: int) -> BoundsReport:
+    """extremal_lower_bounds(q, g, lam) for a prime power q, with the
+    sandwich where it holds: odd q, g in (6, 8) and lam = sandwich_lambda(q, g)."""
+    report = extremal_lower_bounds(q, g, lam)
+    if q % 2 and g in (6, 8) and lam == sandwich_lambda(q, g):
+        report = replace(report, sandwich=sandwich(q, g))
+    return report
+
+
 def sandwich(q: int, g: int) -> tuple[int, int]:
     """Order range for an extremal egr(v, q, g, (q-1)**((g-2)/2)*(q-2)) graph.
 
@@ -172,6 +181,16 @@ def turan_lower_bound(ell: int, q: int) -> int:
     if num % den:
         raise AssertionError(f"{num} is not divisible by {den}")  # pragma: no cover
     return num // den
+
+
+def turan_bound(spec: FamilySpec) -> int | None:
+    """turan_lower_bound(n + 2, q) for the instances whose girth-cycle total
+    it is: W_n(q) in either representation and lie-M<n>, for n in (1, 2)
+    and odd q only; None for the rest."""
+    n = {Family.LIE_M1: 1, Family.LIE_M2: 2}.get(spec.family)
+    if spec.family in (Family.WENGER, Family.WENGER_ALT):
+        n = spec.index
+    return turan_lower_bound(n + 2, spec.q) if n in (1, 2) and spec.q % 2 else None
 
 
 @dataclass(frozen=True)

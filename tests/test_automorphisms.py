@@ -11,7 +11,7 @@ from egr.automorphisms import (
     lwenger_relations,
     verify_automorphism,
 )
-from egr.census import GraphContext, Lcg, _sample_edges
+from egr.census import Lcg, _sample_edges
 from egr.finite_field import Field
 
 EXHAUSTIVE_CASES = [(1, 3), (1, 4), (2, 3), (2, 2)]
@@ -218,7 +218,7 @@ def test_one_sampler_for_census_and_automorphisms(seed):
         for pt, ln in check_edges(rel, "sampled", seed)
     ]
     assert len(drawn) == 512
-    assert _sample_edges(GraphContext.from_relations(rel), seed, 512) == list(dict.fromkeys(drawn))
+    assert _sample_edges(adg.build_adjacency(rel), rel.field.q, seed, 512) == list(dict.fromkeys(drawn))
 
 
 def test_per_edge_counts_constant_consequence():

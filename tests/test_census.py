@@ -95,32 +95,44 @@ def test_count_rejects_bad_input():
 def test_count_endpoint_symmetric():
     for fam, q, idx in [(Family.WENGER, 3, 1), (Family.LINEARIZED, 4, 2), (Family.WENGER, 4, 2)]:
         s = spec(fam, q, idx)
-        ctx = census.GraphContext.build(s)
-        g = census.girth_of_context(ctx)
-        for pid in (0, 1, ctx.n_points - 1):
-            for lid in ctx.adj[pid][:2]:
-                forward = census.count_simple_paths(ctx.adj, pid, lid, g - 1)
-                backward = census.count_simple_paths(ctx.adj, lid, pid, g - 1)
+        adj = adg.build_adjacency(relations(s))
+        g = census.girth_of_adjacency(adj, len(adj) // 2)
+        for pid in (0, 1, len(adj) // 2 - 1):
+            for lid in adj[pid][:2]:
+                forward = census.count_simple_paths(adj, pid, lid, g - 1)
+                backward = census.count_simple_paths(adj, lid, pid, g - 1)
                 assert forward == backward
 
 
-def test_count_matches_networkx_oracle():
-    s = spec(Family.WENGER, 3, 1)
+@pytest.mark.parametrize(
+    "s, g, lam, total",
+    [
+        (spec(Family.WENGER, 3, 1), 6, 4, 18),
+        (spec(Family.WENGER, 3, 2), 8, 8, 81),
+        (spec(Family.WENGER, 5, 1), 6, 48, 1000),
+        (spec(Family.LINEARIZED, 3, 2), 6, 4, 54),
+    ],
+    ids=["W1(3)", "W2(3)", "W1(5)", "L2(3)"],
+)
+def test_count_matches_networkx_oracle(s, g, lam, total):
+    # networkx enumerates every cycle of at most g edges, so this checks the
+    # census total v*k*lambda/(2g) with code that shares nothing with it
     rel = relations(s)
     G = nx.Graph()
     for pt, ln in adg.edge_iter(rel):
         G.add_edge(adg.vertex_id(pt, rel), adg.vertex_id(ln, rel))
+    base_point, base_line = 0, rel.field.q**rel.d
     through_base = 0
-    total = 0
-    for cyc in nx.simple_cycles(G, length_bound=6):
-        assert len(cyc) == 6
-        total += 1
-        if {0, 9} <= set(cyc):
-            k = cyc.index(0)
-            if cyc[(k + 1) % 6] == 9 or cyc[(k - 1) % 6] == 9:
+    cycles = 0
+    for cyc in nx.simple_cycles(G, length_bound=g):
+        assert len(cyc) == g
+        cycles += 1
+        if {base_point, base_line} <= set(cyc):
+            k = cyc.index(base_point)
+            if base_line in (cyc[(k + 1) % g], cyc[(k - 1) % g]):
                 through_base += 1
-    assert through_base == count_cycles_through_edge(s, base_edge(rel), 6) == 4
-    assert total == count_cycles_total(s) == 18
+    assert through_base == count_cycles_through_edge(s, base_edge(rel), g) == lam
+    assert cycles == count_cycles_total(s) == total
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +241,9 @@ def test_pool_size_is_capped_by_cores(monkeypatch, inline_pool, workers, cores, 
 
 def test_pool_size_is_capped_by_chunks(monkeypatch, inline_pool):
     monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
-    ctx = census.GraphContext.build(spec(Family.WENGER, 3, 2))
-    edges = [(pid, ctx.adj[pid][0]) for pid in range(5)]
-    assert census._count_edges(ctx, edges, 8, workers=8) == [8] * 5
+    adj = adg.build_adjacency(relations(spec(Family.WENGER, 3, 2)))
+    edges = [(pid, adj[pid][0]) for pid in range(5)]
+    assert census._count_edges(adj, 3, edges, 8, workers=8) == [8] * 5
     assert inline_pool.processes == [5]
 
 

@@ -4,17 +4,15 @@ enumeration, independent of the algebraic construction machinery."""
 import networkx as nx
 import pytest
 
-from egr import adg
+from egr import adg, census
 from egr.adg import Side, Vertex
 from egr.census import (
     BaseEdgeOnly,
     Exhaustive,
-    GraphContext,
     Sampled,
     certify,
     count_simple_paths,
     girth_of_adjacency,
-    girth_of_context,
 )
 from egr.families import Family, FamilySpec, relations
 
@@ -43,7 +41,7 @@ def test_girth_of_tree_is_unbounded():
     adj = [(1,), (0, 2), (1, 3), (2,)]
     assert girth_of_adjacency(adj, 4) > 1 << 29
     with pytest.raises(ValueError, match="acyclic"):
-        girth_of_context(GraphContext(field=None, rel=None, adj=adj))
+        census._girth(adj)
 
 
 def test_path_counts_on_cycle():

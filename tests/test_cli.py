@@ -180,6 +180,9 @@ def test_certify_reports_edges_counted(capsys, mode_args, mode, edges_counted):
         (("--workers", "0"), "--workers"),
         (("--workers", "-2"), "--workers"),
         (("--workers", "two"), "--workers"),
+        (("--expect", "g=6,lambda=4,foo=1"), "unknown key 'foo'"),
+        (("--expect", "g=6,lambda=4,g=9"), "repeated key 'g'"),
+        (("--expect", "g=6,lambda=4", "--expect-predicted"), "not allowed with argument --expect"),
     ],
 )
 def test_certify_bad_input_is_one_line_exit_1(capsys, argv, named):
@@ -188,16 +191,6 @@ def test_certify_bad_input_is_one_line_exit_1(capsys, argv, named):
     assert stdout == ""
     assert err.startswith("egr: ") and err.count("\n") == 1
     assert named in err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_bad_egr_workers_is_named(capsys, monkeypatch, value):
-    monkeypatch.setenv("EGR_WORKERS", value)
-    with pytest.raises(ValueError, match="EGR_WORKERS"):
-        cli.resolve_workers(None)
-    code, _, err = run(capsys, "certify", "--family", "wenger:n=1,q=3")
-    assert code == cli.EXIT_ERROR
-    assert err.count("\n") == 1 and "EGR_WORKERS" in err and repr(value) in err
 
 
 def test_resolve_workers_rejects_bad_flags():
@@ -227,6 +220,18 @@ def test_certify_expect_parse_error(capsys):
     code, _, err = run(capsys, "certify", "--family", "wenger:n=2,q=3", "--expect", "g=8")
     assert code == cli.EXIT_ERROR
     assert "lambda" in err
+
+
+def test_expect_predicted_resolves_before_the_census(capsys, monkeypatch):
+    def census_ran(*args, **kwargs):
+        pytest.fail("certify ran before the prediction was known")
+
+    monkeypatch.setattr(cli, "certify", census_ran)
+    code, stdout, err = run(capsys, "certify", "--family", "lie:M3,q=5", "--expect-predicted")
+    assert code == cli.EXIT_ERROR
+    assert stdout == ""
+    assert err.startswith("egr: ") and err.count("\n") == 1
+    assert "no closed form" in err
 
 
 def test_certify_nonuniform_exit_code(capsys, monkeypatch):
@@ -270,11 +275,15 @@ def test_certify_json_stable_modulo_elapsed(capsys):
 
 
 def test_workers_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("EGR_WORKERS", "1")
-    assert cli.resolve_workers(None) == 1
     assert cli.resolve_workers(2) == 2
-    monkeypatch.delenv("EGR_WORKERS")
     assert cli.resolve_workers(None) == census.default_workers()
+
+
+def test_egr_workers_env_changes_nothing(capsys, monkeypatch):
+    monkeypatch.setenv("EGR_WORKERS", "abc")
+    code, stdout, err = run(capsys, "certify", "--family", "wenger:n=1,q=3")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(stdout)["workers"] == census.default_workers()
 
 
 def test_predict_json(capsys):

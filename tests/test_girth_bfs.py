@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from egr.census import GraphContext, girth_of_adjacency
-from egr.families import parse_family_spec
+from egr.adg import build_adjacency
+from egr.census import girth_of_adjacency
+from egr.families import parse_family_spec, relations
 from test_girth_counter import EVERY_EDGE_SPECS, build_relations, relation_descriptions
 
 NO_CYCLE = 1 << 30
@@ -64,35 +65,31 @@ def _unpruned_task(task):
     return unpruned_girth(adj, roots)
 
 
-def context(text):
-    return GraphContext.build(parse_family_spec(text))
+def adjacency(text):
+    return build_adjacency(relations(parse_family_spec(text)))
 
 
 @pytest.mark.parametrize("text", EVERY_EDGE_SPECS)
 def test_pruned_equals_unpruned_on_families(text):
-    ctx = context(text)
-    assert girth_of_adjacency(ctx.adj, ctx.n_points) == unpruned_girth(
-        ctx.adj, range(ctx.n_points)
-    )
+    adj = adjacency(text)
+    assert girth_of_adjacency(adj, len(adj) // 2) == unpruned_girth(adj, range(len(adj) // 2))
 
 
 def test_pruned_equals_unpruned_on_lie_m3_q5():
-    ctx = context("lie:M3,q=5")
-    n = ctx.n_points
+    adj = adjacency("lie:M3,q=5")
+    n = len(adj) // 2
     # the unpruned BFS takes seconds here; split its roots over two processes
-    halves = [(ctx.adj, range(0, n, 2)), (ctx.adj, range(1, n, 2))]
+    halves = [(adj, range(0, n, 2)), (adj, range(1, n, 2))]
     with multiprocessing.get_context("spawn").Pool(2) as pool:
         unpruned = min(pool.map(_unpruned_task, halves))
-    assert girth_of_adjacency(ctx.adj, n) == unpruned == 12
+    assert girth_of_adjacency(adj, n) == unpruned == 12
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(relation_descriptions())
 def test_pruned_equals_unpruned_on_random_relation_sets(description):
-    ctx = GraphContext.from_relations(build_relations(description))
-    assert girth_of_adjacency(ctx.adj, ctx.n_points) == unpruned_girth(
-        ctx.adj, range(ctx.n_points)
-    )
+    adj = build_adjacency(build_relations(description))
+    assert girth_of_adjacency(adj, len(adj) // 2) == unpruned_girth(adj, range(len(adj) // 2))
 
 
 # -- small random bipartite graphs against networkx ----------------------------

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from egr import census
-from egr.adg import RelationSet
+from egr.adg import RelationSet, build_adjacency
 from egr.census import (
     Exhaustive,
     GirthCycleCounter,
@@ -19,7 +19,7 @@ from egr.census import (
     count_cycles_total,
     count_simple_paths,
 )
-from egr.families import Family, FamilySpec, parse_family_spec
+from egr.families import Family, FamilySpec, parse_family_spec, relations
 from egr.finite_field import Field
 
 
@@ -34,16 +34,16 @@ def oracle_pool():
         yield pool
 
 
-def assert_counter_matches_oracle(ctx, pool, sample=None):
+def assert_counter_matches_oracle(adj, pool, sample=None):
     """The counter equals count_simple_paths at length g - 1 on every edge,
     or on `sample` edges drawn with a seeded random.Random."""
-    g = census.girth_of_context(ctx)
-    edges = [(pid, lid) for pid in range(ctx.n_points) for lid in ctx.adj[pid]]
+    g = census.girth_of_adjacency(adj, len(adj) // 2)
+    edges = [(pid, lid) for pid in range(len(adj) // 2) for lid in adj[pid]]
     if sample is not None:
         edges = random.Random(0).sample(edges, sample)
-    counter = GirthCycleCounter(ctx.adj, g)
+    counter = GirthCycleCounter(adj, g)
     size = -(-len(edges) // 8)
-    tasks = [(ctx.adj, edges[i : i + size], g - 1) for i in range(0, len(edges), size)]
+    tasks = [(adj, edges[i : i + size], g - 1) for i in range(0, len(edges), size)]
     oracle = [c for part in pool.map(_oracle_chunk, tasks) for c in part]
     assert [counter(u, w) for u, w in edges] == oracle
     return g
@@ -74,8 +74,8 @@ DFS_SAMPLE = {"lwenger:m=2,q=8": 256}
 
 @pytest.mark.parametrize("text", EVERY_EDGE_SPECS)
 def test_counter_equals_dfs_on_every_edge(text, oracle_pool):
-    ctx = census.GraphContext.build(parse_family_spec(text))
-    assert_counter_matches_oracle(ctx, oracle_pool, DFS_SAMPLE.get(text))
+    adj = build_adjacency(relations(parse_family_spec(text)))
+    assert_counter_matches_oracle(adj, oracle_pool, DFS_SAMPLE.get(text))
 
 
 def square_relation_graph():
@@ -84,13 +84,13 @@ def square_relation_graph():
 
 
 def test_counter_equals_dfs_at_girth_four(oracle_pool):
-    ctx = census.GraphContext.from_relations(square_relation_graph())
-    assert assert_counter_matches_oracle(ctx, oracle_pool) == 4
+    adj = build_adjacency(square_relation_graph())
+    assert assert_counter_matches_oracle(adj, oracle_pool) == 4
 
 
 def test_counter_reuses_its_mark_list():
-    ctx = census.GraphContext.build(FamilySpec(Family.WENGER, 3, 1))
-    counter = GirthCycleCounter(ctx.adj, 6)
+    adj = build_adjacency(relations(FamilySpec(Family.WENGER, 3, 1)))
+    counter = GirthCycleCounter(adj, 6)
     mark = counter.mark
     assert [counter(0, 9) for _ in range(3)] == [4, 4, 4]
     assert counter.mark is mark

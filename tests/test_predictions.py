@@ -10,11 +10,13 @@ from egr.finite_field import factor_prime_power
 from egr.predictions import (
     extremal_lower_bounds,
     moore_bound,
+    order_bounds,
     predict,
     predict_linearized,
     predict_wenger,
     sandwich,
     turan_asymptotic,
+    turan_bound,
     turan_lower_bound,
 )
 
@@ -177,6 +179,14 @@ def test_sandwich_lower_never_exceeds_upper():
                 assert lower == upper == 2 * q * q
 
 
+def test_order_bounds_add_the_sandwich_only_at_its_lambda():
+    assert order_bounds(5, 6, 48).sandwich == sandwich(5, 6) == (50, 50)
+    assert order_bounds(3, 8, 8).sandwich == sandwich(3, 8)
+    for q, g, lam in [(5, 8, 160), (5, 6, 47), (4, 6, 18), (3, 10, 4)]:
+        assert order_bounds(q, g, lam) == extremal_lower_bounds(q, g, lam)
+        assert order_bounds(q, g, lam).sandwich is None
+
+
 def test_sandwich_validation():
     with pytest.raises(ValueError):
         sandwich(3, 10)
@@ -197,6 +207,24 @@ def test_turan_examples():
         turan_lower_bound(5, 3)
     with pytest.raises(ValueError):
         turan_lower_bound(3, 4)
+
+
+@pytest.mark.parametrize(
+    "family, q, index, bound",
+    [
+        (Family.WENGER, 3, 1, 18),
+        (Family.WENGER_ALT, 3, 2, 81),
+        (Family.LIE_M1, 5, None, 1000),
+        (Family.LIE_M2, 5, None, 12500),
+        (Family.WENGER, 4, 1, None),
+        (Family.LIE_M2, 9, None, turan_lower_bound(4, 9)),
+        (Family.WENGER, 3, 3, None),
+        (Family.LINEARIZED, 3, 1, None),
+        (Family.LIE_M3, 5, None, None),
+    ],
+)
+def test_turan_bound_names_its_extremal_instances(family, q, index, bound):
+    assert turan_bound(FamilySpec(family, q, index)) == bound
 
 
 def test_turan_integrality_all_odd_prime_powers():

@@ -9,16 +9,17 @@ the census outputs that the reduction must leave as they were.
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from egr import census
+from egr import adg, census
 from egr.adg import RelationSet
 from egr.census import Exhaustive, NonUniformCountsError, certify, certify_relations
-from egr.families import FamilySpec, Family, parse_family_spec
+from egr.families import FamilySpec, Family, parse_family_spec, relations
 from egr.finite_field import Field
 from test_girth_counter import EVERY_EDGE_SPECS, build_relations, relation_descriptions
 
 
-def assert_every_shift_maps_edges_to_edges(ctx):
-    field, d = ctx.field, ctx.rel.d
+def assert_every_shift_maps_edges_to_edges(rel):
+    adj = adg.build_adjacency(rel)
+    field, d = rel.field, rel.d
     q = field.q
     half = q**d
     top = q ** (d - 1)  # weight of coordinate d, the most significant digit
@@ -29,7 +30,7 @@ def assert_every_shift_maps_edges_to_edges(ctx):
         coord = coord - x if sign < 0 else coord + x
         return vid // half * half + coord.index * top + rest
 
-    edges = {(pid, lid) for pid in range(half) for lid in ctx.adj[pid]}
+    edges = {(pid, lid) for pid in range(half) for lid in adj[pid]}
     assert len(edges) == q ** (d + 1)
     for x in field.elements():
         images = {(shifted(pid, x, -1), shifted(lid, x, +1)) for pid, lid in edges}
@@ -38,21 +39,21 @@ def assert_every_shift_maps_edges_to_edges(ctx):
 
 @pytest.mark.parametrize("text", EVERY_EDGE_SPECS)
 def test_shift_is_an_automorphism_of_every_edge_spec(text):
-    assert_every_shift_maps_edges_to_edges(census.GraphContext.build(parse_family_spec(text)))
+    assert_every_shift_maps_edges_to_edges(relations(parse_family_spec(text)))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(relation_descriptions())
 def test_shift_is_an_automorphism_of_random_relation_sets(description):
     rel = build_relations(description)
-    assert_every_shift_maps_edges_to_edges(census.GraphContext.from_relations(rel))
+    assert_every_shift_maps_edges_to_edges(rel)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_complete_bipartite_certifies_exhaustively(q):
     # d = 1: no relations, so the graph is K_{q,q}, and tau_x moves the slot
     rel = RelationSet(field=Field.of_order(q), d=1, relations=())
-    assert_every_shift_maps_edges_to_edges(census.GraphContext.from_relations(rel))
+    assert_every_shift_maps_edges_to_edges(rel)
     cert = certify_relations(rel, Exhaustive(), workers=1)
     assert cert.parameters() == (2 * q, q, 4, (q - 1) ** 2)
     assert cert.total_girth_cycles == (q * (q - 1) // 2) ** 2
@@ -70,10 +71,10 @@ def test_non_uniform_witnesses_are_pinned():
 @pytest.mark.parametrize("text", ["wenger:n=1,q=4", "wenger:n=2,q=3", "lwenger:m=2,q=4"])
 def test_exhaustive_keys_keep_point_and_slot_order(text):
     spec = parse_family_spec(text)
-    ctx = census.GraphContext.build(spec)
+    adj = adg.build_adjacency(relations(spec))
     cert = certify(spec, Exhaustive(), workers=2)
     assert list(cert.per_edge_counts) == [
-        (pid, lid) for pid in range(ctx.n_points) for lid in ctx.adj[pid]
+        (pid, lid) for pid in range(len(adj) // 2) for lid in adj[pid]
     ]
     assert set(cert.per_edge_counts.values()) == {cert.lam}
     assert cert.edges_counted == spec.q ** (spec.dimension + 1)
